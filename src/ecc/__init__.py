@@ -47,7 +47,7 @@ from .simulate import (
     phase_shift,
     replicate_rho,
 )
-from .tail import HillSeries, TailFit, hill, hill_series, select_k_ks, select_k_mindist
+from .tail import HillSeries, TailFit, hill, hill_series, select_k, select_k_ks, select_k_mindist
 from .transform import power_transform
 
 __version__ = "0.1.0"
@@ -100,6 +100,7 @@ __all__ = [
     "power_transform",
     "replicate_rho",
     "resample_linear",
+    "select_k",
     "select_k_ks",
     "select_k_mindist",
     "write_curve_file",

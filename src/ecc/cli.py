@@ -12,24 +12,24 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .chi import ChiSeries, chi_curve
+from .chi import chi_curve
 from .curves import center, norms
-from .curveio import format_curves, parse_curve_file, resample_linear, write_curve_file
+from .curveio import format_curves, parse_curve_file, read_text, resample_linear, write_curve_file
 from .errors import (
     DegenerateSampleError,
     DegenerateTailError,
     DomainError,
-    EccError,
     GridMismatchError,
     ParseError,
 )
 from .estimators import PipelineReport, estimate_pipeline, pairwise_matrix
 from .simulate import DgpConfig, ExperimentTable, bias_experiment, generate_paired, invert_oracle
-from .tail import HillSeries, hill_series
+from .tail import K_METHODS, hill_series
 from .transform import power_transform
 
 SCHEMA_VERSION = 1
@@ -46,44 +46,23 @@ def _emit(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _tail_fit_dict(fit) -> dict:
-    return {"alpha_hat": fit.alpha_hat, "k": fit.k, "threshold": fit.threshold, "method": fit.method}
-
-
 def _pipeline_report_dict(rep: PipelineReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "sigma_xy": rep.ecc.sigma_xy,
-        "rho_xy": rep.ecc.rho_xy,
-        "gamma_xy": rep.ecc.gamma_xy,
-        "k": rep.ecc.k,
-        "r_k": rep.ecc.r_k,
+        **asdict(rep.ecc),
         "exceedance_indices": rep.ecc.exceedance_indices.tolist(),
         "k_method": rep.k_method,
         "centered": rep.centered,
-        "tail_x": _tail_fit_dict(rep.tail_x),
-        "tail_y": _tail_fit_dict(rep.tail_y),
+        "tail_x": asdict(rep.tail_x),
+        "tail_y": asdict(rep.tail_y),
         "transformed": rep.transformed,
         "alpha_target": rep.alpha_target,
         "tau": rep.tau,
     }
 
 
-def _hill_series_csv(series: HillSeries) -> str:
-    lines = ["k,alpha,lo,hi"]
-    for k, a, lo, hi in zip(series.k, series.alpha_hat, series.ci_low, series.ci_high):
-        lines.append(f"{k},{a:.17g},{lo:.17g},{hi:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def _chi_series_csv(series: ChiSeries) -> str:
-    lines = ["q,chi,chibar,chi_lo,chi_hi,chibar_lo,chibar_hi,raw_chibar"]
-    cols = (
-        series.q, series.chi, series.chibar, series.chi_lo,
-        series.chi_hi, series.chibar_lo, series.chibar_hi, series.raw_chibar,
-    )
-    for row in zip(*cols):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+def _columns_csv(header: str, *columns) -> str:
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -146,7 +125,8 @@ def _cmd_hill(args) -> int:
     values = norms(sample if args.no_center else center(sample))
     k_max = args.kmax if args.kmax is not None else values.size - 1
     series = hill_series(values, k_max)
-    _emit(_hill_series_csv(series), args.output)
+    _emit(_columns_csv("k,alpha,lo,hi", series.k, series.alpha_hat, series.ci_low, series.ci_high),
+          args.output)
     return 0
 
 
@@ -167,7 +147,8 @@ def _cmd_chi(args) -> int:
     if not args.no_center:
         x, y = center(x), center(y)
     series = chi_curve(norms(x), norms(y), _parse_qgrid(args.qgrid))
-    _emit(_chi_series_csv(series), args.output)
+    names = ("q", "chi", "chibar", "chi_lo", "chi_hi", "chibar_lo", "chibar_hi", "raw_chibar")
+    _emit(_columns_csv(",".join(names), *(getattr(series, c) for c in names)), args.output)
     return 0
 
 
@@ -202,12 +183,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _parse_config(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
     cfg: dict[str, str] = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
+    for i, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -229,19 +206,26 @@ def _cfg_list(cfg: dict, key: str, conv, default=None):
         raise ParseError(f"bad value for config key {key!r}: {cfg[key]!r}") from None
 
 
+def _cfg_one(cfg: dict, key: str, conv, default=None):
+    values = _cfg_list(cfg, key, conv, None if default is None else [default])
+    if len(values) != 1:
+        raise ParseError(f"config key {key!r} takes exactly one value, got {len(values)}")
+    return values[0]
+
+
 def _cmd_experiment(args) -> int:
     cfg = _parse_config(args.config)
     targets = _cfg_list(cfg, "rho_xy", float)
     alphas = _cfg_list(cfg, "alpha", float)
     ns = _cfg_list(cfg, "n", int)
-    reps = _cfg_list(cfg, "reps", int)[0]
-    seed = _cfg_list(cfg, "seed", int)[0]  # required: runs must be reproducible
+    reps = _cfg_one(cfg, "reps", int)
+    seed = _cfg_one(cfg, "seed", int)  # required: runs must be reproducible
     k_method = cfg.get("k_method", "mindist")
-    if k_method not in ("mindist", "ks", "fixed"):
+    if k_method not in K_METHODS:
         raise ParseError(f"bad k_method {k_method!r}")
-    k_fixed = _cfg_list(cfg, "k", int)[0] if k_method == "fixed" else None
-    J = _cfg_list(cfg, "j", int, default=[100])[0]
-    noise_variance = _cfg_list(cfg, "noise_variance", float, default=[0.25])[0]
+    k_fixed = _cfg_one(cfg, "k", int) if k_method == "fixed" else None
+    J = _cfg_one(cfg, "j", int, default=100)
+    noise_variance = _cfg_one(cfg, "noise_variance", float, default=0.25)
 
     threads = args.threads
     if threads is None:
@@ -358,9 +342,6 @@ def main(argv=None) -> int:
     except (DomainError, DegenerateTailError, DegenerateSampleError, GridMismatchError) as exc:
         _print_error(args.command, exc, _DOMAIN_EXIT)
         return _DOMAIN_EXIT
-    except EccError as exc:
-        _print_error(args.command, exc, _INTERNAL_EXIT)
-        return _INTERNAL_EXIT
     except Exception as exc:  # anything unexpected is an internal error
         _print_error(args.command, exc, _INTERNAL_EXIT)
         return _INTERNAL_EXIT

@@ -26,8 +26,11 @@ def _try_float(cell: str) -> float | None:
 
 def parse_curve_text(text: str, source: str = "<string>") -> np.ndarray:
     """Parse CSV text into an (n, J) sample; see parse_curve_file."""
-    rows = [row for row in csv.reader(io.StringIO(text))]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"{source}: {exc}", row=reader.line_num) from None
     if not rows:
         raise EmptyInputError(f"{source}: no data rows")
 
@@ -59,14 +62,20 @@ def parse_curve_text(text: str, source: str = "<string>") -> np.ndarray:
     return data
 
 
-def parse_curve_file(path) -> np.ndarray:
-    """Read a curve file into an (n, J) sample, one curve per data row."""
+def read_text(path) -> str:
+    """Read a UTF-8 text file; a file that cannot be read or decoded is a ParseError."""
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ParseError(f"{p}: file not found") from None
-    return parse_curve_text(text, source=str(p))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{p}: cannot read as UTF-8 text ({exc})") from None
+
+
+def parse_curve_file(path) -> np.ndarray:
+    """Read a curve file into an (n, J) sample, one curve per data row."""
+    return parse_curve_text(read_text(path), source=str(Path(path)))
 
 
 def format_curves(sample, header: list[str] | None = None) -> str:

@@ -27,8 +27,11 @@ def as_curve(x) -> np.ndarray:
 
 
 def as_sample(s) -> np.ndarray:
-    """Validate and return a functional sample as an (n, J) float64 array."""
-    arr = np.asarray(s, dtype=float)
+    """Validate and return a functional sample as a C-contiguous (n, J) float64 array.
+
+    An array that already is one is returned as is, without a copy.
+    """
+    arr = np.asarray(s, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DomainError(f"a functional sample must be a non-empty 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -14,17 +14,20 @@ that interval to absorb last-ulp rounding.
 
 ``estimate_pipeline`` wraps the full workflow: optional centering, marginal
 tail-index fits, a power transformation when the margins are not tail
-equivalent, k-selection on the radii, and the three estimates.
+equivalent, k-selection on the radii, and the three estimates, all read off
+one pass over the exceedance set. ``pairwise_matrix`` runs each sample's
+marginal stage once and only the paired stage per pair.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import center, check_paired, inner_products, norms
-from .errors import DegenerateSampleError, DegenerateTailError, DomainError, GridMismatchError
-from .tail import HillSeries, TailFit, hill, hill_series, select_k_mindist, select_k_ks
+from .curves import as_sample, center, check_paired, inner_products, norms
+from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
+from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
 from .transform import power_transform
 
 
@@ -66,69 +69,118 @@ def order_statistic(values, k: int) -> float:
     return float(np.sort(arr, kind="stable")[::-1][k - 1])
 
 
-def _exceedance_stats(x, y, k: int):
+def _paired(x, y):
+    """Validate a pair once; return it with each margin's norms and the pair radii."""
     xs, ys = check_paired(x, y)
-    radii = np.maximum(norms(xs), norms(ys))
+    nx, ny = norms(xs), norms(ys)
+    return xs, ys, nx, ny, np.maximum(nx, ny)
+
+
+def _exceedances(xs, ys, nx, ny, radii, k: int, rho_required: bool = True) -> EccReport:
+    """The exceedance pass over what ``_paired`` returns; each estimator is a view of it.
+
+    The squared-norm sums reuse ``nx``/``ny``, bit-identical to norms of the
+    exceedance rows as the samples are C-contiguous. With ``rho_required=False``
+    a vanishing rho denominator gives rho_xy = nan instead of an error.
+    """
     r_k = order_statistic(radii, k)
     if r_k <= 0.0:
         raise DegenerateSampleError(f"fewer than k={k} pairs with a nonzero curve")
     idx = np.flatnonzero(radii >= r_k)
-    return xs, ys, radii, r_k, idx
+    ips = inner_products(xs[idx], ys[idx])
+    sum_ip = float(ips.sum())
+    sum_x2 = float(np.sum(nx[idx] ** 2))
+    sum_y2 = float(np.sum(ny[idx] ** 2))
+    if sum_x2 <= 0.0 or sum_y2 <= 0.0:
+        if rho_required:
+            raise DegenerateSampleError("a margin is identically zero on the exceedance set")
+        rho = float("nan")
+    else:
+        rho = float(np.clip(sum_ip / np.sqrt(sum_x2 * sum_y2), -1.0, 1.0))
+    gamma = float(np.sum(ips / radii[idx] ** 2) / k)
+    return EccReport(sum_ip / (k * r_k * r_k), rho, gamma, k, r_k, idx)
 
 
 def extremal_covariance(x, y, k: int) -> float:
     """sigma_hat: mean scaled inner product over the k largest pairs."""
-    xs, ys, _, r_k, idx = _exceedance_stats(x, y, k)
-    ips = inner_products(xs[idx], ys[idx])
-    return float(ips.sum() / (k * r_k * r_k))
+    return _exceedances(*_paired(x, y), k, rho_required=False).sigma_xy
 
 
 def extremal_correlation(x, y, k: int) -> float:
     """rho_hat: correlation-normalized inner products over the k largest pairs."""
-    xs, ys, _, _, idx = _exceedance_stats(x, y, k)
-    sum_ip = float(inner_products(xs[idx], ys[idx]).sum())
-    sum_x2 = float(np.sum(norms(xs[idx]) ** 2))
-    sum_y2 = float(np.sum(norms(ys[idx]) ** 2))
-    if sum_x2 <= 0.0 or sum_y2 <= 0.0:
-        raise DegenerateSampleError("a margin is identically zero on the exceedance set")
-    return float(np.clip(sum_ip / np.sqrt(sum_x2 * sum_y2), -1.0, 1.0))
+    return ecc_report(x, y, k).rho_xy
 
 
 def angular_dependence(x, y, k: int) -> float:
     """gamma_hat: mean inner product of radius-normalized pairs over the exceedances."""
-    xs, ys, radii, _, idx = _exceedance_stats(x, y, k)
-    terms = inner_products(xs[idx], ys[idx]) / radii[idx] ** 2
-    return float(terms.sum() / k)
+    return _exceedances(*_paired(x, y), k, rho_required=False).gamma_xy
 
 
 def ecc_report(x, y, k: int) -> EccReport:
     """All three estimates on one exceedance set."""
-    xs, ys, radii, r_k, idx = _exceedance_stats(x, y, k)
-    ips = inner_products(xs[idx], ys[idx])
-    sum_x2 = float(np.sum(norms(xs[idx]) ** 2))
-    sum_y2 = float(np.sum(norms(ys[idx]) ** 2))
-    if sum_x2 <= 0.0 or sum_y2 <= 0.0:
-        raise DegenerateSampleError("a margin is identically zero on the exceedance set")
-    return EccReport(
-        sigma_xy=float(ips.sum() / (k * r_k * r_k)),
-        rho_xy=float(np.clip(float(ips.sum()) / np.sqrt(sum_x2 * sum_y2), -1.0, 1.0)),
-        gamma_xy=float(np.sum(ips / radii[idx] ** 2) / k),
-        k=k,
-        r_k=r_k,
-        exceedance_indices=idx,
-    )
+    return _exceedances(*_paired(x, y), k)
 
 
-def _select_k(values, k_method: str, k: int | None) -> TailFit:
-    if k_method == "fixed":
-        if k is None:
-            raise DomainError("k_method='fixed' requires k")
-        return hill(values, k)
-    if k_method == "mindist":
-        return select_k_mindist(values)
-    if k_method == "ks":
-        return select_k_ks(values)
-    raise DomainError(f"unknown k_method {k_method!r}")
+@contextmanager
+def _naming(name: str):
+    """Prefix the message of an EccError raised inside with the failing sample's name."""
+    try:
+        yield
+    except EccError as exc:
+        raise type(exc)(f"{name}: {exc}").with_traceback(exc.__traceback__) from None
+
+
+def _pipelines(
+    samples, names, k=None, k_method="mindist", alpha_target=3.0, tau=0.5, do_center=True, attach_hill=True
+) -> dict[tuple[int, int], PipelineReport]:
+    """``estimate_pipeline`` on every pair (a, b), a < b, of ``samples``.
+
+    The marginal stage (validation, centering, norms, tail fit, Hill series)
+    runs once per sample and its errors carry the sample's name; each pair
+    runs only the transform decision, the radius fit and the exceedance pass.
+    """
+    if alpha_target <= 0:
+        raise DomainError("alpha_target must be positive")
+    if tau < 0:
+        raise DomainError("tau must be nonnegative")
+    if k is not None:
+        k_method = "fixed"
+    _check_k_method(k_method, k)
+
+    arrs = []
+    for s, name in zip(samples, names):
+        with _naming(name):
+            arrs.append(as_sample(s))
+    for arr, name in zip(arrs[1:], names[1:]):
+        if arr.shape != arrs[0].shape:
+            raise GridMismatchError(
+                f"{names[0]} and {name} must share n and J, got {arrs[0].shape} vs {arr.shape}"
+            )
+
+    def marginal_stage(arr, name):
+        with _naming(name):
+            if do_center:
+                arr = center(arr)
+            nrm = norms(arr)
+            fit = select_k(nrm, k_method, k)
+        return arr, nrm, fit, _hill_series_or_none(nrm) if attach_hill else None
+
+    def paired_stage(mx, my):
+        (xs, nx, tail_x, hill_x), (ys, ny, tail_y, hill_y) = mx, my
+        transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
+        if transformed:
+            xs = power_transform(xs, tail_x.alpha_hat, alpha_target)
+            ys = power_transform(ys, tail_y.alpha_hat, alpha_target)
+            nx, ny = norms(xs), norms(ys)
+        radii = np.maximum(nx, ny)
+        fit_r = select_k(radii, k_method, k)
+        report = _exceedances(xs, ys, nx, ny, radii, fit_r.k)
+        return PipelineReport(report, k_method, do_center, tail_x, tail_y, hill_x, hill_y,
+                              transformed, alpha_target, tau)
+
+    margins = [marginal_stage(arr, name) for arr, name in zip(arrs, names)]
+    return {(a, b): paired_stage(margins[a], margins[b])
+            for a in range(len(margins)) for b in range(a + 1, len(margins))}
 
 
 def estimate_pipeline(
@@ -148,54 +200,12 @@ def estimate_pipeline(
     (pass ``k`` to fix it); (3) if the marginal indexes differ by more than
     ``tau``, power-transform both margins to ``alpha_target``; (4) choose k on
     the pair radii by the same method and compute the three estimators.
+    Errors in steps (1)-(2) name the failing margin, ``x`` or ``y``.
 
     Hill series for both margins are attached for visual regular-variation
     checks; nothing is auto-rejected on their account.
     """
-    if alpha_target <= 0:
-        raise DomainError("alpha_target must be positive")
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
-    if k_method == "fixed" and k is None:
-        raise DomainError("k_method='fixed' requires k")
-    if k is not None:
-        k_method = "fixed"
-
-    xs, ys = check_paired(x, y)
-    if do_center:
-        xs = center(xs)
-        ys = center(ys)
-
-    nx = norms(xs)
-    ny = norms(ys)
-    tail_x = _select_k(nx, k_method, k)
-    tail_y = _select_k(ny, k_method, k)
-
-    hx = hy = None
-    if attach_hill:
-        hx = _hill_series_or_none(nx)
-        hy = _hill_series_or_none(ny)
-
-    transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
-    if transformed:
-        xs = power_transform(xs, tail_x.alpha_hat, alpha_target)
-        ys = power_transform(ys, tail_y.alpha_hat, alpha_target)
-
-    radii = np.maximum(norms(xs), norms(ys))
-    fit_r = _select_k(radii, k_method, k)
-    report = ecc_report(xs, ys, fit_r.k)
-    return PipelineReport(
-        ecc=report,
-        k_method=k_method,
-        centered=do_center,
-        tail_x=tail_x,
-        tail_y=tail_y,
-        hill_x=hx,
-        hill_y=hy,
-        transformed=transformed,
-        alpha_target=alpha_target,
-        tau=tau,
-    )
+    return _pipelines((x, y), ("x", "y"), k, k_method, alpha_target, tau, do_center, attach_hill)[(0, 1)]
 
 
 def _hill_series_or_none(values) -> HillSeries | None:
@@ -213,10 +223,15 @@ def _hill_series_or_none(values) -> HillSeries | None:
 def pairwise_matrix(samples, return_reports: bool = False, **options):
     """Pairwise rho_hat matrix across m functional samples.
 
-    Entry (a, b) runs ``estimate_pipeline`` on the pair; the result is exactly
-    symmetric (the radii and all sums are), so each pair is computed once. The
-    diagonal is 1 by definition. With ``return_reports=True`` also returns a
-    dict mapping (a, b), a < b, to the PipelineReport.
+    ``options`` are those of ``estimate_pipeline``. Each sample's marginal
+    stage (centering, norms, tail fit, Hill series) runs once, and its errors
+    name the sample's index; each pair then runs only the transform decision,
+    the radius fit and the exceedance pass, so entry (a, b) equals
+    ``estimate_pipeline(samples[a], samples[b], **options)`` field for field.
+    The result is exactly symmetric (the radii and all sums are), so each
+    pair is computed once. The diagonal is 1 by definition. With
+    ``return_reports=True`` also returns a dict mapping (a, b), a < b, to the
+    PipelineReport.
     """
     arrs = [np.asarray(s, dtype=float) for s in samples]
     if len(arrs) < 2:
@@ -225,14 +240,10 @@ def pairwise_matrix(samples, return_reports: bool = False, **options):
     for i, a in enumerate(arrs):
         if a.ndim != 2 or a.shape != shape:
             raise GridMismatchError(f"sample {i} has shape {a.shape}, expected {shape}")
-    m = len(arrs)
-    out = np.eye(m)
-    reports: dict[tuple[int, int], PipelineReport] = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            rep = estimate_pipeline(arrs[a], arrs[b], **options)
-            out[a, b] = out[b, a] = rep.ecc.rho_xy
-            reports[(a, b)] = rep
+    reports = _pipelines(arrs, [f"sample {i}" for i in range(len(arrs))], **options)
+    out = np.eye(len(arrs))
+    for (a, b), rep in reports.items():
+        out[a, b] = out[b, a] = rep.ecc.rho_xy
     if return_reports:
         return out, reports
     return out

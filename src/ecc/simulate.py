@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .curves import pair_radii
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError
-from .estimators import ecc_report
-from .tail import hill, select_k_ks, select_k_mindist
+from .estimators import _exceedances, _paired
+from .tail import select_k
 
 VARIANTS = ("base", "bernoulli", "phase")
 
@@ -254,23 +253,7 @@ class ExperimentTable:
     rows: list[ExperimentRow] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rows": [
-                {
-                    "rho_xy_target": r.rho_xy_target,
-                    "alpha": r.alpha,
-                    "n": r.n,
-                    "reps": r.reps,
-                    "failed": r.failed,
-                    "mean": r.mean,
-                    "bias": r.bias,
-                    "se": r.se,
-                    "mean_k": r.mean_k,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"schema_version": 1, "rows": [asdict(r) for r in self.rows]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -296,19 +279,6 @@ class ExperimentTable:
         return "\n".join(lines) + "\n"
 
 
-def _select_k_for(radii: np.ndarray, k_method: str, k_fixed: int | None) -> int:
-    if k_method == "fixed":
-        if k_fixed is None:
-            raise DomainError("k_method='fixed' requires k_fixed")
-        hill(radii, k_fixed)  # validates the choice
-        return k_fixed
-    if k_method == "mindist":
-        return select_k_mindist(radii).k
-    if k_method == "ks":
-        return select_k_ks(radii).k
-    raise DomainError(f"unknown k_method {k_method!r}")
-
-
 def replicate_rho(
     cfg: DgpConfig,
     reps: int,
@@ -331,14 +301,12 @@ def replicate_rho(
 
     def one(i: int):
         rng = np.random.default_rng(streams[i])
-        x, y = draw_paired(rng, cfg)
-        radii = pair_radii(x, y)
+        xs, ys, nx, ny, radii = _paired(*draw_paired(rng, cfg))
         try:
-            k = _select_k_for(radii, k_method, k_fixed)
-            rep = ecc_report(x, y, k)
+            k = select_k(radii, k_method, k_fixed).k
+            return _exceedances(xs, ys, nx, ny, radii, k).rho_xy, k
         except (DegenerateSampleError, DegenerateTailError):
             return np.nan, 0
-        return rep.rho_xy, k
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

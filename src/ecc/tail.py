@@ -25,6 +25,8 @@ from .errors import DegenerateTailError, DomainError
 # memory around a few hundred MB even for n ~ 1e5.
 _SCAN_CELLS = 4_000_000
 
+K_METHODS = ("fixed", "mindist", "ks")  # the k rules of select_k
+
 
 @dataclass(frozen=True)
 class TailFit:
@@ -169,6 +171,8 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
     survival-function tail index, i.e. the ML density exponent minus one; k is
     the number of values at or above the winning threshold.
     """
+    if min_exceedances < 1:
+        raise DomainError(f"min_exceedances must be >= 1, got {min_exceedances}")
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError("values must be a 1-d sequence")
@@ -232,3 +236,18 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
         threshold=float(cand_val[i]),
         method="ks",
     )
+
+
+def _check_k_method(method: str, k: int | None) -> None:
+    if method not in K_METHODS:
+        raise DomainError(f"unknown k_method {method!r}")
+    if method == "fixed" and k is None:
+        raise DomainError("k_method='fixed' requires k")
+
+
+def select_k(values, method: str, k: int | None = None) -> TailFit:
+    """Tail fit with k chosen by ``method``: "fixed" (Hill at the given k), "mindist" or "ks"."""
+    _check_k_method(method, k)
+    if method == "fixed":
+        return hill(values, k)
+    return select_k_mindist(values) if method == "mindist" else select_k_ks(values)

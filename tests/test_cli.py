@@ -213,3 +213,64 @@ def test_experiment_threads_env_fallback(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "experiment", "--config", str(config))
     assert code == 0
     assert out == baseline
+
+
+def _error(err):
+    return json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"1,2\n\xff\xfe,3\n",  # invalid UTF-8
+        b"1," + b"9" * 200_000 + b"\n",  # csv.Error: field larger than the csv field limit
+    ],
+    ids=["invalid-utf8", "oversized-field"],
+)
+def test_estimate_unreadable_curve_file_exits_2(capsys, tmp_path, sample_files, content):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    code, _, err = run_cli(capsys, "estimate", "--x", str(bad), "--y", sample_files[1])
+    assert code == 2
+    assert _error(err)["type"] == "ParseError"
+    assert str(bad) in _error(err)["message"]
+
+
+def test_estimate_directory_path_exits_2(capsys, tmp_path, sample_files):
+    code, _, err = run_cli(capsys, "estimate", "--x", str(tmp_path), "--y", sample_files[1])
+    assert code == 2
+    assert _error(err)["type"] == "ParseError"
+
+
+def test_experiment_unreadable_config_exits_2(capsys, tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_bytes(b"rho_xy = 0.5\nalpha = \xff3\n")
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 2
+    assert _error(err)["type"] == "ParseError"
+    code, _, _ = run_cli(capsys, "experiment", "--config", str(tmp_path))
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["reps = 4, 7", "seed = 3, 4", "k = 8, 9", "j = 20, 30", "noise_variance = 0.25, 1", "reps ="]
+)
+def test_experiment_single_value_keys_take_exactly_one_value(capsys, tmp_path, line):
+    base = {"rho_xy": "0.5", "alpha": "3", "n": "60", "reps": "4", "k_method": "fixed",
+            "k": "8", "seed": "3", "j": "20"}
+    key = line.split("=")[0].strip()
+    base[key] = line.split("=", 1)[1].strip()
+    config = tmp_path / "exp.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert key in _error(err)["message"]
+
+
+def test_estimate_degenerate_margin_is_named(capsys, tmp_path, sample_files):
+    zeros = tmp_path / "zeros.csv"
+    write_curve_file(zeros, np.zeros((120, 40)))
+    code, _, err = run_cli(capsys, "estimate", "--x", sample_files[0], "--y", str(zeros))
+    assert code == 3
+    assert _error(err)["message"].startswith("y: ")

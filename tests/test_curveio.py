@@ -62,6 +62,21 @@ def test_parse_missing_file():
         parse_curve_file("/nonexistent/place/file.csv")
 
 
+def test_parse_csv_reader_error_is_parse_error():
+    # a bare carriage return inside an unquoted field makes the csv module raise csv.Error
+    with pytest.raises(ParseError, match="row 2"):
+        parse_curve_text("1,2\n3\r4,5\n")
+
+
+def test_unreadable_files_are_parse_errors(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1,2\n\xff,3\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        parse_curve_file(bad)
+    with pytest.raises(ParseError):
+        parse_curve_file(tmp_path)
+
+
 def test_round_trip_bit_identical(tmp_path):
     cfg = DgpConfig(rho=0.4, alpha=3.0, n=25, J=30, seed=77)
     x, _ = generate_paired(cfg)

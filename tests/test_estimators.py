@@ -1,3 +1,5 @@
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,87 @@ def test_inner_products_used_by_report():
     manual = float(np.sum(inner_products(x[idx], y[idx])) / (rep.k * rep.r_k**2))
     assert rep.sigma_xy == pytest.approx(manual, rel=1e-12)
     assert norms(x).shape == (50,)
+
+
+# --- one paired core ------------------------------------------------------
+
+
+def _assert_same(a, b, path="report"):
+    """Field-for-field equality: floats with ==, arrays with array_equal, dataclasses recursively."""
+    if is_dataclass(a):
+        assert type(a) is type(b), path
+        for f in fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+def _heavier(y):
+    # sign(y) y^2 halves the norm tail index, so pairs with it fire the transform
+    return np.sign(y) * y**2
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"k_method": "ks"}, {"k": 20}, {"do_center": False}, {"k_method": "ks", "do_center": False}],
+)
+def test_pairwise_reports_equal_estimate_pipeline(options):
+    x, y = _dgp_sample(seed=15, n=250)
+    samples = [x, y, _heavier(y), _dgp_sample(seed=16, n=250)[0]]
+    matrix, reports = pairwise_matrix(samples, return_reports=True, **options)
+    assert set(reports) == {(a, b) for a in range(4) for b in range(a + 1, 4)}
+    assert any(rep.transformed for rep in reports.values())
+    for (a, b), rep in reports.items():
+        _assert_same(rep, estimate_pipeline(samples[a], samples[b], **options))
+        assert matrix[a, b] == matrix[b, a] == rep.ecc.rho_xy
+
+
+def _layouts(a):
+    """The same values as a C-ordered copy, a Fortran-ordered copy and two strided views."""
+    cols = np.zeros((a.shape[0], 2 * a.shape[1]))
+    cols[:, ::2] = a
+    rows = np.zeros((2 * a.shape[0], a.shape[1]))
+    rows[::2] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), cols[:, ::2], rows[::2]]
+
+
+def test_results_do_not_depend_on_memory_layout():
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_t(3.0, size=(500, 37))
+        y = 0.6 * x + rng.standard_t(3.0, size=(500, 37))
+        pairs = list(zip(_layouts(x), _layouts(y)))
+        for xv, yv in pairs[1:]:
+            assert not (xv.flags.c_contiguous and yv.flags.c_contiguous)
+        base_x, base_y = pairs[0]
+        for xv, yv in pairs[1:]:
+            _assert_same(ecc_report(xv, yv, 40), ecc_report(base_x, base_y, 40))
+            for f in (extremal_covariance, extremal_correlation, angular_dependence):
+                assert f(xv, yv, 40) == f(base_x, base_y, 40)
+            for options in ({}, {"do_center": False}):
+                _assert_same(
+                    estimate_pipeline(xv, yv, **options), estimate_pipeline(base_x, base_y, **options)
+                )
+
+
+def test_covariance_and_angular_survive_a_vanishing_rho_denominator():
+    x = np.array([[1.0, 0.0], [0.0, 0.0]])
+    y = np.zeros((2, 2))
+    assert extremal_covariance(x, y, 1) == 0.0
+    assert angular_dependence(x, y, 1) == 0.0
+    with pytest.raises(DegenerateSampleError):
+        ecc_report(x, y, 1)
+
+
+def test_marginal_errors_name_the_margin():
+    x, _ = _dgp_sample(seed=17)
+    with pytest.raises(DomainError, match=r"^y: the top \d+ values must be strictly positive"):
+        estimate_pipeline(x, np.zeros_like(x))
+    with pytest.raises(DomainError, match=r"^x: sample values must be finite"):
+        estimate_pipeline(np.full_like(x, np.nan), x)
+    with pytest.raises(DomainError, match=r"^sample 2: the top \d+ values"):
+        pairwise_matrix([x, 2.0 * x, np.zeros_like(x)])
+    with pytest.raises(GridMismatchError):
+        estimate_pipeline(x, x[:, :-1])

@@ -13,6 +13,7 @@ from ecc import (
     hill_series,
     invert_oracle,
     pair_radii,
+    select_k,
     select_k_ks,
     select_k_mindist,
 )
@@ -276,6 +277,14 @@ def test_ks_too_small_rejected():
         select_k_ks(np.arange(1.0, 11.0))
 
 
+def test_ks_rejects_min_exceedances_below_one():
+    v = (1 - np.random.default_rng(8).random(100)) ** (-1 / 3.0)
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match="min_exceedances"):
+            select_k_ks(v, min_exceedances=bad)
+    assert select_k_ks(v, min_exceedances=1).k >= 1
+
+
 def test_ks_deterministic():
     rng = np.random.default_rng(6)
     v = (1 - rng.random(200)) ** (-1 / 3.0)
@@ -291,3 +300,23 @@ def test_ks_average_k_on_dgp_radii():
         x, y = draw_paired(rng, cfg)
         ks.append(select_k_ks(pair_radii(x, y)).k)
     assert 163.8 <= np.mean(ks) <= 382.2
+
+
+# --- select_k -------------------------------------------------------------
+
+
+def test_select_k_dispatches_to_each_rule():
+    v = (1 - np.random.default_rng(12).random(300)) ** (-1 / 3.0)
+    assert select_k(v, "fixed", 25) == hill(v, 25)
+    assert select_k(v, "mindist") == select_k_mindist(v)
+    assert select_k(v, "ks") == select_k_ks(v)
+
+
+def test_select_k_rejects_unknown_method_and_fixed_without_k():
+    v = (1 - np.random.default_rng(13).random(100)) ** (-1 / 3.0)
+    with pytest.raises(DomainError, match="unknown k_method"):
+        select_k(v, "bogus")
+    with pytest.raises(DomainError, match="unknown k_method"):
+        select_k(v, "bogus", 10)
+    with pytest.raises(DomainError, match="requires k"):
+        select_k(v, "fixed")
