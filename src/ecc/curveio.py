@@ -2,13 +2,15 @@
 
 The interchange format is plain CSV: one curve per row, one grid point per
 column, comma delimiter, period decimals, UTF-8. A single header row is
-allowed and auto-detected (every cell non-numeric). Values are written with
-17 significant digits so a write/read round trip is bit-identical.
+allowed and auto-detected (``float`` rejects every cell); a data cell is a
+finite ``float`` literal of ASCII characters without ``_``. Values are written
+with 17 significant digits so a write/read round trip is bit-identical.
 """
 from __future__ import annotations
 
 import csv
-import io
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,42 +26,48 @@ def _try_float(cell: str) -> float | None:
         return None
 
 
+def _plain(text: str) -> bool:
+    """Whether text has no ``_`` and no non-ASCII character, both of which float() accepts."""
+    return text.isascii() and "_" not in text
+
+
+def _raise_bad_row(cells: list[str], width: int, row: int, source: str) -> None:
+    """Raise the ParseError naming the first defect of a data row that failed to convert."""
+    if len(cells) != width:
+        raise ParseError(f"{source}: expected {width} columns, found {len(cells)}", row=row)
+    for col, cell in enumerate(cells, start=1):
+        value = _try_float(cell) if _plain(cell) else None
+        if value is None or not math.isfinite(value):
+            kind = "non-numeric" if value is None else "non-finite"
+            raise ParseError(f"{source}: {kind} cell {cell!r}", row=row, column=col)
+
+
 def parse_curve_text(text: str, source: str = "<string>") -> np.ndarray:
-    """Parse CSV text into an (n, J) sample; see parse_curve_file."""
-    reader = csv.reader(io.StringIO(text))
+    """Parse CSV text into an (n, J) sample; the first defect in file order is reported."""
+    # the lines io.StringIO(text) would yield, without its four-bytes-per-character copy
+    reader = csv.reader((m.group() for m in re.finditer(r"[^\n]+\n?|\n", text)), strict=True)
+    data, row, width = [], 0, None
     try:
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        for cells in reader:
+            if not any(cell.strip() for cell in cells):
+                continue
+            row += 1
+            if row == 1 and all(_try_float(cell) is None for cell in cells):
+                continue  # header row
+            width = width or len(cells)
+            try:
+                values = np.array(cells, dtype=float)
+                ok = len(cells) == width and _plain("".join(cells)) and np.isfinite(values).all()
+            except ValueError:
+                ok = False
+            if not ok:
+                _raise_bad_row(cells, width, row, source)
+            data.append(values)
     except csv.Error as exc:
         raise ParseError(f"{source}: {exc}", row=reader.line_num) from None
-    if not rows:
-        raise EmptyInputError(f"{source}: no data rows")
-
-    start = 0
-    first = [_try_float(c) for c in rows[0]]
-    if all(v is None for v in first):
-        start = 1  # header row
-    elif any(v is None for v in first):
-        bad = first.index(None)
-        raise ParseError(f"{source}: non-numeric cell {rows[0][bad]!r}", row=1, column=bad + 1)
-    if start == len(rows):
-        raise EmptyInputError(f"{source}: header only, no data rows")
-
-    width = len(rows[start])
-    data = np.empty((len(rows) - start, width))
-    for r in range(start, len(rows)):
-        row = rows[r]
-        if len(row) != width:
-            raise ParseError(
-                f"{source}: expected {width} columns, found {len(row)}", row=r + 1
-            )
-        for c, cell in enumerate(row):
-            val = _try_float(cell)
-            if val is None:
-                raise ParseError(f"{source}: non-numeric cell {cell!r}", row=r + 1, column=c + 1)
-            if not np.isfinite(val):
-                raise ParseError(f"{source}: non-finite cell {cell!r}", row=r + 1, column=c + 1)
-            data[r - start, c] = val
-    return data
+    if not data:
+        raise EmptyInputError(f"{source}: header only, no data rows" if row else f"{source}: no data rows")
+    return np.array(data)
 
 
 def read_text(path) -> str:
@@ -81,14 +89,11 @@ def parse_curve_file(path) -> np.ndarray:
 def format_curves(sample, header: list[str] | None = None) -> str:
     """Render a sample as CSV text (17 significant digits, exact round trip)."""
     arr = as_sample(sample)
-    lines = []
-    if header is not None:
-        if len(header) != arr.shape[1]:
-            raise DomainError("header length must match the number of grid points")
-        lines.append(",".join(header))
-    for row in arr:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    if header is not None and len(header) != arr.shape[1]:
+        raise DomainError("header length must match the number of grid points")
+    head = [] if header is None else [",".join(header) + "\n"]
+    line = ",".join(["{:.17g}"] * arr.shape[1]) + "\n"
+    return "".join(head + [line.format(*values) for values in arr.tolist()])
 
 
 def write_curve_file(path, sample, header: list[str] | None = None) -> None:

@@ -28,9 +28,6 @@ class ParseError(EccError):
 class EmptyInputError(ParseError):
     """An input file contained no data rows."""
 
-    def __init__(self, message: str):
-        super().__init__(message)
-
 
 class DomainError(EccError, ValueError):
     """A parameter is outside its valid domain or range."""

@@ -66,7 +66,7 @@ def order_statistic(values, k: int) -> float:
         raise DomainError("values must be a 1-d sequence")
     if not 1 <= k <= arr.size:
         raise DomainError(f"k={k} out of range [1, {arr.size}]")
-    return float(np.sort(arr, kind="stable")[::-1][k - 1])
+    return float(np.partition(arr, arr.size - k)[arr.size - k])
 
 
 def _paired(x, y):
@@ -131,7 +131,7 @@ def _naming(name: str):
 
 
 def _pipelines(
-    samples, names, k=None, k_method="mindist", alpha_target=3.0, tau=0.5, do_center=True, attach_hill=True
+    samples, names, k=None, k_method="mindist", alpha_target=3.0, tau=0.5, do_center=True
 ) -> dict[tuple[int, int], PipelineReport]:
     """``estimate_pipeline`` on every pair (a, b), a < b, of ``samples``.
 
@@ -163,7 +163,7 @@ def _pipelines(
                 arr = center(arr)
             nrm = norms(arr)
             fit = select_k(nrm, k_method, k)
-        return arr, nrm, fit, _hill_series_or_none(nrm) if attach_hill else None
+        return arr, nrm, fit, _hill_series_or_none(nrm)
 
     def paired_stage(mx, my):
         (xs, nx, tail_x, hill_x), (ys, ny, tail_y, hill_y) = mx, my
@@ -191,7 +191,6 @@ def estimate_pipeline(
     alpha_target: float = 3.0,
     tau: float = 0.5,
     do_center: bool = True,
-    attach_hill: bool = True,
 ) -> PipelineReport:
     """Run the full estimation workflow on a paired sample.
 
@@ -205,7 +204,7 @@ def estimate_pipeline(
     Hill series for both margins are attached for visual regular-variation
     checks; nothing is auto-rejected on their account.
     """
-    return _pipelines((x, y), ("x", "y"), k, k_method, alpha_target, tau, do_center, attach_hill)[(0, 1)]
+    return _pipelines((x, y), ("x", "y"), k, k_method, alpha_target, tau, do_center)[(0, 1)]
 
 
 def _hill_series_or_none(values) -> HillSeries | None:
@@ -224,24 +223,20 @@ def pairwise_matrix(samples, return_reports: bool = False, **options):
     """Pairwise rho_hat matrix across m functional samples.
 
     ``options`` are those of ``estimate_pipeline``. Each sample's marginal
-    stage (centering, norms, tail fit, Hill series) runs once, and its errors
-    name the sample's index; each pair then runs only the transform decision,
-    the radius fit and the exceedance pass, so entry (a, b) equals
+    stage (validation, centering, norms, tail fit, Hill series) runs once, and
+    its errors name the sample's index; each pair then runs only the transform
+    decision, the radius fit and the exceedance pass, so entry (a, b) equals
     ``estimate_pipeline(samples[a], samples[b], **options)`` field for field.
     The result is exactly symmetric (the radii and all sums are), so each
     pair is computed once. The diagonal is 1 by definition. With
     ``return_reports=True`` also returns a dict mapping (a, b), a < b, to the
     PipelineReport.
     """
-    arrs = [np.asarray(s, dtype=float) for s in samples]
-    if len(arrs) < 2:
+    samples = list(samples)
+    if len(samples) < 2:
         raise DomainError("need at least two samples")
-    shape = arrs[0].shape
-    for i, a in enumerate(arrs):
-        if a.ndim != 2 or a.shape != shape:
-            raise GridMismatchError(f"sample {i} has shape {a.shape}, expected {shape}")
-    reports = _pipelines(arrs, [f"sample {i}" for i in range(len(arrs))], **options)
-    out = np.eye(len(arrs))
+    reports = _pipelines(samples, [f"sample {i}" for i in range(len(samples))], **options)
+    out = np.eye(len(samples))
     for (a, b), rep in reports.items():
         out[a, b] = out[b, a] = rep.ecc.rho_xy
     if return_reports:

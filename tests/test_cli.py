@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecc import DgpConfig, generate_paired, parse_curve_file, write_curve_file
 from ecc.cli import main
@@ -224,8 +225,11 @@ def _error(err):
     [
         b"1,2\n\xff\xfe,3\n",  # invalid UTF-8
         b"1," + b"9" * 200_000 + b"\n",  # csv.Error: field larger than the csv field limit
+        b"1_0,2\n3,4\n",  # float() reads 1_0 as 10
+        "1,2\n\u0663,4\n".encode(),  # float() reads the Arabic-Indic digit as 3
+        b'"a\n1,2\n',  # unclosed quote
     ],
-    ids=["invalid-utf8", "oversized-field"],
+    ids=["invalid-utf8", "oversized-field", "underscore-digit", "non-ascii-digit", "unclosed-quote"],
 )
 def test_estimate_unreadable_curve_file_exits_2(capsys, tmp_path, sample_files, content):
     bad = tmp_path / "bad.csv"
@@ -274,3 +278,18 @@ def test_estimate_degenerate_margin_is_named(capsys, tmp_path, sample_files):
     code, _, err = run_cli(capsys, "estimate", "--x", sample_files[0], "--y", str(zeros))
     assert code == 3
     assert _error(err)["message"].startswith("y: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=120),
+        st.text(alphabet='0123456789.,-+e_\n\r" xnaif\u0663\xa0', max_size=120).map(str.encode),
+    )
+)
+def test_estimate_on_arbitrary_bytes_never_exits_1(tmp_path_factory, content):
+    directory = tmp_path_factory.mktemp("fuzz")
+    x, y = directory / "x.csv", directory / "y.csv"
+    x.write_bytes(content)
+    y.write_text("1,2\n3,4\n5,6\n")
+    assert main(["estimate", "--x", str(x), "--y", str(y), "--k", "1"]) in (0, 2, 3)

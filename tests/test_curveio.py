@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ecc import (
     DgpConfig,
@@ -50,6 +52,22 @@ def test_parse_non_finite_rejected():
         parse_curve_text("1,inf\n")
 
 
+@pytest.mark.parametrize(
+    "text, row, column",
+    [
+        ("1_0,2\n3,4\n", 1, 1),  # float() reads 1_0 as 10, and the row is data, not a header
+        ("1,2\n\u0663,4\n", 2, 1),  # float() reads the Arabic-Indic digit as 3
+        ("1,2\n3,\xa04\n", 2, 2),  # non-ASCII space
+        ('"a\n1,2\n', 2, None),  # an unclosed quote runs to the end, reported at the last line
+        ('1,2\n3,"4\n', 2, None),
+    ],
+)
+def test_parse_strict_cells_and_quotes(text, row, column):
+    with pytest.raises(ParseError) as err:
+        parse_curve_text(text)
+    assert (err.value.row, err.value.column) == (row, column)
+
+
 def test_parse_empty_file():
     with pytest.raises(EmptyInputError):
         parse_curve_text("")
@@ -91,6 +109,64 @@ def test_round_trip_with_header(tmp_path):
     path = tmp_path / "s.csv"
     write_curve_file(path, sample, header=["a", "b"])
     assert parse_curve_file(path).shape == (2, 2)
+
+
+finite_samples = arrays(
+    np.float64,
+    array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+    elements=st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_samples, st.booleans())
+@example(np.array([[-0.0], [5e-324], [1e308], [-1e308]]), True)
+@example(np.array([[-0.0, 2.2250738585072014e-308, -1.7976931348623157e308]]), False)
+def test_format_parse_round_trip_is_bit_identical(sample, with_header):
+    header = [f"t{j}" for j in range(sample.shape[1])] if with_header else None
+    back = parse_curve_text(format_curves(sample, header))
+    assert np.array_equal(back, sample)
+    assert back.tobytes() == sample.tobytes()
+
+
+# a defective cell's text; None makes its row ragged instead
+DEFECTS = [None, "x", "inf", "-1e400", "nan", "1_0", "\u0663"]
+
+
+@st.composite
+def defective_texts(draw, n_defects):
+    """A valid CSV body with defects at distinct cells, plus the first defect's (row, column)."""
+    n, J = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rows = [[repr(float(draw(st.integers(-50, 50))) / 4) for _ in range(J)] for _ in range(n)]
+    spots = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, J - 1)),
+                          min_size=n_defects, max_size=n_defects, unique=True))
+    header = draw(st.booleans())
+    first = None
+    for r, c in spots:
+        cell = draw(st.sampled_from(DEFECTS))
+        if cell is None:
+            assume(r > 0)  # the first data row sets the width
+            rows[r].append("1")
+            key = (r, 0, None)  # the width check precedes the cells
+        else:
+            rows[r][c] = cell
+            key = (r, c + 1, c + 1)
+        first = key if first is None else min(first, key)
+    # a first row that float() rejects entirely is a header, not a defect
+    assume(header or any(cell != "x" for cell in rows[0]))
+    lines = ([",".join(f"t{j}" for j in range(J))] if header else []) + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", ",,"])))
+    return "\n".join(lines) + "\n", first[0] + 1 + header, first[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(defective_texts(1), defective_texts(2)))
+def test_first_defect_in_file_order_is_reported(case):
+    text, row, column = case
+    with pytest.raises(ParseError) as err:
+        parse_curve_text(text)
+    assert (err.value.row, err.value.column) == (row, column)
 
 
 def test_format_header_length_checked():

@@ -2,6 +2,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ecc import (
     DegenerateSampleError,
@@ -51,6 +52,12 @@ def test_order_statistic_basic():
 
 def test_order_statistic_ties_counted_with_multiplicity():
     assert order_statistic([2.0, 2.0, 2.0], 3) == 2.0
+
+
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, -3.0, 1e300]), min_size=1, max_size=30), st.data())
+def test_order_statistic_matches_sorted_reference(values, data):
+    k = data.draw(st.integers(1, len(values)))
+    assert order_statistic(values, k) == sorted(values, reverse=True)[k - 1]
 
 
 def test_order_statistic_range_errors():
@@ -279,6 +286,8 @@ def test_pairwise_matrix_rejects_mismatched_shapes():
         pairwise_matrix([np.zeros((5, 4)), np.zeros((5, 3))])
     with pytest.raises(DomainError):
         pairwise_matrix([np.zeros((5, 4))])
+    with pytest.raises(DomainError, match="^sample 1: a functional sample must be a non-empty 2-d array"):
+        pairwise_matrix([np.zeros((5, 4)), np.zeros(5)])
 
 
 def test_exceedance_indices_consistent_with_radii():
