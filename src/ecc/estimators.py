@@ -28,7 +28,7 @@ import numpy as np
 from .curves import as_sample, center, check_paired, inner_products, norms
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
-from .transform import power_transform
+from .transform import _power_scales
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,22 @@ def _paired(x, y):
     return xs, ys, nx, ny, np.maximum(nx, ny)
 
 
-def _exceedances(xs, ys, nx, ny, radii, k: int, rho_required: bool = True) -> EccReport:
+def _exceedances(xs, ys, nx, ny, radii, k: int, rho_required: bool = True, scales=None) -> EccReport:
     """The exceedance pass over what ``_paired`` returns; each estimator is a view of it.
 
     The squared-norm sums reuse ``nx``/``ny``, bit-identical to norms of the
     exceedance rows as the samples are C-contiguous. With ``rho_required=False``
     a vanishing rho denominator gives rho_xy = nan instead of an error.
+    ``scales=(sx, sy)`` stands for the samples ``xs * sx[:, None]``, ``ys * sy[:, None]``.
     """
     r_k = order_statistic(radii, k)
     if r_k <= 0.0:
         raise DegenerateSampleError(f"fewer than k={k} pairs with a nonzero curve")
     idx = np.flatnonzero(radii >= r_k)
-    ips = inner_products(xs[idx], ys[idx])
+    xe, ye = xs[idx], ys[idx]
+    if scales is not None:
+        xe, ye = xe * scales[0][idx, None], ye * scales[1][idx, None]
+    ips = inner_products(xe, ye)
     sum_ip = float(ips.sum())
     sum_x2 = float(np.sum(nx[idx] ** 2))
     sum_y2 = float(np.sum(ny[idx] ** 2))
@@ -168,13 +172,15 @@ def _pipelines(
     def paired_stage(mx, my):
         (xs, nx, tail_x, hill_x), (ys, ny, tail_y, hill_y) = mx, my
         transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
+        scales = None
         if transformed:
-            xs = power_transform(xs, tail_x.alpha_hat, alpha_target)
-            ys = power_transform(ys, tail_y.alpha_hat, alpha_target)
-            nx, ny = norms(xs), norms(ys)
+            # as row factors: no transformed copy is held through the radius fit (peak memory)
+            scales = (_power_scales(nx, tail_x.alpha_hat, alpha_target),
+                      _power_scales(ny, tail_y.alpha_hat, alpha_target))
+            nx, ny = norms(xs * scales[0][:, None]), norms(ys * scales[1][:, None])
         radii = np.maximum(nx, ny)
         fit_r = select_k(radii, k_method, k)
-        report = _exceedances(xs, ys, nx, ny, radii, fit_r.k)
+        report = _exceedances(xs, ys, nx, ny, radii, fit_r.k, scales=scales)
         return PipelineReport(report, k_method, do_center, tail_x, tail_y, hill_x, hill_y,
                               transformed, alpha_target, tau)
 

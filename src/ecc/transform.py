@@ -13,12 +13,15 @@ from .curves import as_sample, norms
 from .errors import DomainError
 
 
-def power_transform(s, alpha_source: float, alpha_target: float) -> np.ndarray:
-    """Rescale every curve so the norm tail index moves from alpha_source to alpha_target."""
+def _power_scales(r, alpha_source: float, alpha_target: float) -> np.ndarray:
+    """Per-curve factors ||x||^(alpha_source/alpha_target - 1) of the transform, from the norms r."""
     if alpha_source <= 0 or alpha_target <= 0:
         raise DomainError("tail indexes must be positive")
-    arr = as_sample(s)
-    r = norms(arr)
     with np.errstate(divide="ignore"):
-        factor = np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
-    return arr * factor[:, None]
+        return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
+
+
+def power_transform(s, alpha_source: float, alpha_target: float) -> np.ndarray:
+    """Rescale every curve so the norm tail index moves from alpha_source to alpha_target."""
+    arr = as_sample(s)
+    return arr * _power_scales(norms(arr), alpha_source, alpha_target)[:, None]

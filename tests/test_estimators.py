@@ -223,6 +223,37 @@ def test_pipeline_transforms_when_margins_differ():
     assert rep.transformed == (abs(rep.tail_x.alpha_hat - rep.tail_y.alpha_hat) > 0.0)
 
 
+def test_pipeline_transform_holds_no_sample_copy_through_radius_fit(monkeypatch):
+    # the radius fit sets the pipeline's peak memory, so what is held then must not depend
+    # on whether the transform fires: the transformed samples are never kept whole
+    import tracemalloc
+
+    from ecc import estimators
+
+    rng = np.random.default_rng(5)
+    n, J = 2000, 200
+    x = rng.standard_normal((n, J)) * (rng.pareto(2.0, n)[:, None] + 1.0)
+    y = rng.standard_normal((n, J)) * (rng.pareto(5.0, n)[:, None] + 1.0)
+    held = []
+    select_k = estimators.select_k
+
+    def recording(values, method, k=None):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return select_k(values, method, k)
+
+    monkeypatch.setattr(estimators, "select_k", recording)
+    tracemalloc.start()
+    try:
+        fired = estimate_pipeline(x, y, tau=0.0)
+        plain = estimate_pipeline(x, y, tau=1e9)
+    finally:
+        tracemalloc.stop()
+    assert fired.transformed and not plain.transformed
+    assert len(held) == 6  # x margin, y margin, radii; per run
+    # growth from the x-margin fit to the radius fit; two transformed copies would add 2 * x.nbytes
+    assert (held[2] - held[0]) - (held[5] - held[3]) < x.nbytes / 4
+
+
 def test_pipeline_records_marginal_fits_and_series():
     x, y = _dgp_sample(seed=8)
     rep = estimate_pipeline(x, y, k_method="mindist")
