@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError
 
@@ -47,12 +46,27 @@ class ChiSeries:
         return self.q.size
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of a finite 1-d array, tied values sharing the mean of their ranks."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    new_group = np.concatenate(([True], s[1:] != s[:-1]))
+    bounds = np.append(np.flatnonzero(new_group), a.size)  # start of each tie group, then n
+    g = np.cumsum(new_group) - 1
+    ranks = np.empty(a.size)
+    ranks[order] = 0.5 * (bounds[g] + bounds[g + 1] + 1)
+    return ranks
+
+
 def chi_curve(u, v, q_grid) -> ChiSeries:
     """Empirical chi(q) and chibar(q) for two aligned scalar sequences."""
     u_arr = np.asarray(u, dtype=float)
     v_arr = np.asarray(v, dtype=float)
     if u_arr.ndim != 1 or v_arr.ndim != 1 or u_arr.size != v_arr.size:
         raise DomainError("u and v must be 1-d sequences of equal length")
+    for name, arr in (("u", u_arr), ("v", v_arr)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} values must be finite")
     n = u_arr.size
     if n < 20:
         raise DomainError(f"need at least 20 observations, got {n}")
@@ -62,8 +76,8 @@ def chi_curve(u, v, q_grid) -> ChiSeries:
     if np.any(np.diff(q) <= 0.0):
         raise DomainError("q_grid must be strictly increasing")
 
-    fu = rankdata(u_arr, method="average") / n
-    fv = rankdata(v_arr, method="average") / n
+    fu = _average_ranks(u_arr) / n
+    fv = _average_ranks(v_arr) / n
 
     u_exc = fu[None, :] > q[:, None]
     v_exc = fv[None, :] > q[:, None]

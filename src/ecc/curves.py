@@ -78,19 +78,27 @@ def inner_products(x, y) -> np.ndarray:
     return np.sum(xs * ys, axis=1) / xs.shape[1]
 
 
+def _norms(arr: np.ndarray) -> np.ndarray:
+    """``norms`` of a sample ``as_sample`` already returned, without checking it again."""
+    return np.sqrt(np.sum(arr * arr, axis=1) / arr.shape[1])
+
+
+def _center(arr: np.ndarray) -> np.ndarray:
+    """``center`` of a sample ``as_sample`` already returned, without checking it again."""
+    return arr - arr.mean(axis=0)
+
+
 def norms(s) -> np.ndarray:
     """Row-wise norms of a sample, shape (n,)."""
-    arr = as_sample(s)
-    return np.sqrt(np.sum(arr * arr, axis=1) / arr.shape[1])
+    return _norms(as_sample(s))
 
 
 def center(s) -> np.ndarray:
     """Subtract the pointwise sample mean curve from every curve."""
-    arr = as_sample(s)
-    return arr - arr.mean(axis=0)
+    return _center(as_sample(s))
 
 
 def pair_radii(x, y) -> np.ndarray:
     """Per-pair radii R_i = max(||x_i||, ||y_i||), shape (n,)."""
     xs, ys = check_paired(x, y)
-    return np.maximum(norms(xs), norms(ys))
+    return np.maximum(_norms(xs), _norms(ys))

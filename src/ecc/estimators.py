@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import as_sample, center, check_paired, inner_products, norms
+from .curves import _center, _norms, as_sample, check_paired, inner_products, norms
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
 from .transform import _power_scales
@@ -72,7 +72,7 @@ def order_statistic(values, k: int) -> float:
 def _paired(x, y):
     """Validate a pair once; return it with each margin's norms and the pair radii."""
     xs, ys = check_paired(x, y)
-    nx, ny = norms(xs), norms(ys)
+    nx, ny = _norms(xs), _norms(ys)
     return xs, ys, nx, ny, np.maximum(nx, ny)
 
 
@@ -164,8 +164,8 @@ def _pipelines(
     def marginal_stage(arr, name):
         with _naming(name):
             if do_center:
-                arr = center(arr)
-            nrm = norms(arr)
+                arr = _center(arr)
+            nrm = _norms(arr)
             fit = select_k(nrm, k_method, k)
         return arr, nrm, fit, _hill_series_or_none(nrm)
 
@@ -177,6 +177,7 @@ def _pipelines(
             # as row factors: no transformed copy is held through the radius fit (peak memory)
             scales = (_power_scales(nx, tail_x.alpha_hat, alpha_target),
                       _power_scales(ny, tail_y.alpha_hat, alpha_target))
+            # the rescaled samples are new arrays: norms checks that they stayed finite
             nx, ny = norms(xs * scales[0][:, None]), norms(ys * scales[1][:, None])
         radii = np.maximum(nx, ny)
         fit_r = select_k(radii, k_method, k)

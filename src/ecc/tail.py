@@ -9,9 +9,17 @@ choices of k are provided: a quantile minimum-distance rule (pick the k whose
 fitted Pareto quantiles stay closest, in sup norm, to the empirical ones) and
 a distribution-side Kolmogorov-Smirnov rule (scan thresholds, fit the
 continuous power-law exponent by maximum likelihood, keep the threshold with
-the smallest KS distance). Both scans are deterministic: exact distance ties
-keep the first candidate visited (smallest k for the quantile rule, smallest
-threshold for the KS rule).
+the smallest KS distance). Both are deterministic: exact distance ties keep
+the first candidate (smallest k for the quantile rule, smallest threshold for
+the KS rule).
+
+Neither rule computes every candidate's distance. A candidate's lower bound
+is the largest of its deviations at ``_PROBES`` probe columns (geometrically
+spaced order statistics for the quantile rule, rank-spaced exceedances for KS).
+``_prune_argmin`` visits candidates in increasing bound order and computes a
+full distance only while the bound can still win. The bound takes its max over
+a subset of the very floating-point terms of the full distance, so it never
+exceeds it, and the search returns exactly the candidate a full scan would.
 """
 from __future__ import annotations
 
@@ -21,9 +29,8 @@ import numpy as np
 
 from .errors import DegenerateTailError, DomainError
 
-# Block size (in matrix cells) for the chunked candidate scans; keeps peak
-# memory around a few hundred MB even for n ~ 1e5.
-_SCAN_CELLS = 4_000_000
+# Probe columns per candidate in the lower bounds that prune the k searches.
+_PROBES = 64
 
 K_METHODS = ("fixed", "mindist", "ks")  # the k rules of select_k
 
@@ -51,11 +58,17 @@ class HillSeries:
         return self.k.size
 
 
-def _sorted_desc(values) -> np.ndarray:
+def _as_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError("values must be a 1-d sequence")
-    return np.sort(arr, kind="stable")[::-1]
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("values must be finite")
+    return arr
+
+
+def _sorted_desc(values) -> np.ndarray:
+    return np.sort(_as_values(values))[::-1]
 
 
 def _check_top_positive(v: np.ndarray, count: int) -> None:
@@ -66,9 +79,9 @@ def _check_top_positive(v: np.ndarray, count: int) -> None:
 def hill(values, k: int) -> TailFit:
     """Hill estimate of the tail index from the k largest values.
 
-    Raises DomainError if k is out of [1, n-1] or any of the top k+1 values is
-    nonpositive, and DegenerateTailError when the top k values all equal the
-    threshold (zero log-sum).
+    Raises DomainError if k is out of [1, n-1], a value is not finite or any
+    of the top k+1 values is nonpositive, and DegenerateTailError when the top
+    k values all equal the threshold (zero log-sum).
     """
     v = _sorted_desc(values)
     n = v.size
@@ -108,15 +121,39 @@ def _hill_gammas(v: np.ndarray, k_max: int) -> np.ndarray:
     return (np.cumsum(logs[:-1]) - ks * logs[1:]) / ks
 
 
-def mindist_distances(values, k_min: int = 2, k_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Quantile-fit distances behind select_k_mindist, one per candidate k.
+def _prune_argmin(bounds: np.ndarray, distance) -> tuple[int, float]:
+    """Exact argmin of ``distance(i)`` over the candidates i = 0..len(bounds)-1, and its distance.
 
-    The top ``k_max`` order statistics form the comparison block. For each
-    candidate k in [k_min, k_max] the Hill fit at k implies the Pareto
-    quantiles V_(k+1) * (k/i)^(1/alpha_hat(k)); the candidate's distance is
-    the sup over the whole block of the absolute log-quantile deviations
-    |log V_(i) - log fitted_i|, i = 1..k_max. Returns (candidate ks,
-    distances).
+    ``bounds[i]`` must not exceed ``distance(i)``. Candidates are visited in
+    increasing bound order, index order among equal bounds; the search stops
+    at the first bound above the best distance found and skips a bound equal
+    to it at a later index, as neither can win. Exact distance ties keep the
+    smallest index.
+    """
+    best_i, best_d = -1, np.inf
+    for i in np.argsort(bounds, kind="stable").tolist():
+        b = bounds[i]
+        if b > best_d:
+            break
+        if b == best_d and i > best_i:
+            continue
+        d = distance(i)
+        if d < best_d or (d == best_d and i < best_i):
+            best_i, best_d = i, d
+    return best_i, best_d
+
+
+def _mindist_dev(log_v, log_i, log_vk, gamma, log_k):
+    """|log V_(i) - (log V_(k+1) + gamma_k (log k - log i))|, broadcast over candidates and columns i."""
+    return np.abs(log_v - (log_vk + gamma * (log_k - log_i)))
+
+
+def _mindist_search(values, k_min: int, k_max: int | None) -> tuple[int, float]:
+    """The k chosen by select_k_mindist and its distance.
+
+    A candidate's bound is its largest deviation over about ``_PROBES``
+    geometrically spaced columns i; only candidates whose bound can still
+    win get the full row i = 1..k_max.
     """
     v = _sorted_desc(values)
     n = v.size
@@ -135,29 +172,43 @@ def mindist_distances(values, k_min: int = 2, k_max: int | None = None) -> tuple
     ks = np.arange(k_min, k_max + 1)
     logs = np.log(v[: k_max + 1])
     log_i = np.log(np.arange(1, k_max + 1))
-    gam = gammas[ks - 1]
+    log_v, log_vk, gam, log_k = logs[:k_max], logs[ks], gammas[ks - 1], np.log(ks)
 
-    dists = np.empty(ks.size)
-    rows_per_block = max(1, _SCAN_CELLS // k_max)
-    for start in range(0, ks.size, rows_per_block):
-        sel = slice(start, min(start + rows_per_block, ks.size))
-        kb = ks[sel]
-        log_fit = logs[kb][:, None] + gam[sel, None] * (np.log(kb)[:, None] - log_i[None, :])
-        dists[sel] = np.abs(logs[None, :k_max] - log_fit).max(axis=1)
-    return ks, dists
+    cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64))[:, None] - 1
+    bounds = _mindist_dev(log_v[cols], log_i[cols], log_vk, gam, log_k).max(axis=0)
+
+    def distance(c):
+        return float(_mindist_dev(log_v, log_i, log_vk[c], gam[c], log_k[c]).max())
+
+    c, dist = _prune_argmin(bounds, distance)
+    return int(ks[c]), dist
 
 
 def select_k_mindist(values, k_min: int = 2, k_max: int | None = None) -> TailFit:
     """Pick k by minimizing the distance between empirical and fitted tail quantiles.
 
-    See ``mindist_distances`` for the criterion; ties break toward smaller k.
+    The top ``k_max`` order statistics form the comparison block. For each
+    candidate k in [k_min, k_max] the Hill fit at k implies the Pareto
+    quantiles V_(k+1) * (k/i)^(1/alpha_hat(k)); the candidate's distance is
+    the sup over the whole block of the absolute log-quantile deviations
+    |log V_(i) - log fitted_i|, i = 1..k_max. Ties break toward smaller k.
     Candidates default to [2, 0.15 n]; the top 15% of the sample is the
     customary scan region for this rule.
     """
-    ks, dists = mindist_distances(values, k_min=k_min, k_max=k_max)
-    best_k = int(ks[int(np.argmin(dists))])
+    best_k, _ = _mindist_search(values, k_min, k_max)
     fit = hill(values, best_k)
     return TailFit(alpha_hat=fit.alpha_hat, k=best_k, threshold=fit.threshold, method="mindist")
+
+
+def _ks_dev(val, a1, m, r, w):
+    """KS deviations max(|r/m - F|, |(r-1)/m - F|), F = 1 - (val/w)^a1, of a fitted power law.
+
+    ``val`` is the threshold, ``a1`` the fitted density exponent minus one,
+    ``m`` the exceedance count and ``w`` the exceedance of rank ``r``
+    (ascending, 1..m); the arguments broadcast over candidates and ranks.
+    """
+    f = 1.0 - np.power(val / w, a1)
+    return np.maximum(np.abs(r / m - f), np.abs((r - 1) / m - f))
 
 
 def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
@@ -173,9 +224,7 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
     """
     if min_exceedances < 1:
         raise DomainError(f"min_exceedances must be >= 1, got {min_exceedances}")
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError("values must be a 1-d sequence")
+    arr = _as_values(values)
     n = arr.size
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
@@ -205,33 +254,23 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
     cand_idx = cand_idx[usable]
     cand_val = cand_val[usable]
     cand_m = cand_m[usable]
-    a_hat = 1.0 + cand_m / log_sums[usable]
+    a1 = (1.0 + cand_m / log_sums[usable]) - 1.0  # ML density exponent minus one
 
-    best = (np.inf, -1)
-    rows_per_block = max(1, _SCAN_CELLS // m_total)
-    for start in range(0, cand_val.size, rows_per_block):
-        sel = slice(start, min(start + rows_per_block, cand_val.size))
-        idx = cand_idx[sel]
-        lo = int(idx.min())
-        block = pos[None, lo:]  # exceedances live in the tail of this slice
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fit_cdf = 1.0 - (cand_val[sel, None] / block) ** (a_hat[sel] - 1.0)[:, None]
-        pos_rank = np.arange(lo, m_total)[None, :]
-        within = pos_rank >= idx[:, None]
-        rank_in_tail = pos_rank - idx[:, None] + 1
-        m_col = cand_m[sel][:, None]
-        emp_hi = rank_in_tail / m_col
-        emp_lo = (rank_in_tail - 1) / m_col
-        dev = np.maximum(np.abs(emp_hi - fit_cdf), np.abs(emp_lo - fit_cdf))
-        dev[~within] = -np.inf
-        dists = dev.max(axis=1)
-        j = int(np.argmin(dists))
-        if dists[j] < best[0]:
-            best = (float(dists[j]), start + j)
+    # ranks and counts as floats: r / m is the same double as for integers, without the casts
+    m = cand_m.astype(float)
+    # bound: the largest deviation at _PROBES rank-spaced exceedances of each candidate,
+    # taken one probe rank at a time so memory stays O(candidates)
+    bounds = np.zeros(cand_m.size)  # deviations are >= 0
+    for q in np.linspace(0.0, 1.0, _PROBES):
+        offset = (q * (cand_m - 1)).astype(np.int64)  # rank - 1
+        np.maximum(bounds, _ks_dev(cand_val, a1, m, offset + 1.0, pos[cand_idx + offset]), out=bounds)
 
-    i = best[1]
+    def distance(c):
+        return float(_ks_dev(cand_val[c], a1[c], m[c], np.arange(1.0, m[c] + 1.0), pos[cand_idx[c]:]).max())
+
+    i, _ = _prune_argmin(bounds, distance)
     return TailFit(
-        alpha_hat=float(a_hat[i] - 1.0),
+        alpha_hat=float(a1[i]),
         k=int(cand_m[i]),
         threshold=float(cand_val[i]),
         method="ks",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import as_sample, norms
+from .curves import _norms, as_sample
 from .errors import DomainError
 
 
@@ -24,4 +24,4 @@ def _power_scales(r, alpha_source: float, alpha_target: float) -> np.ndarray:
 def power_transform(s, alpha_source: float, alpha_target: float) -> np.ndarray:
     """Rescale every curve so the norm tail index moves from alpha_source to alpha_target."""
     arr = as_sample(s)
-    return arr * _power_scales(norms(arr), alpha_source, alpha_target)[:, None]
+    return arr * _power_scales(_norms(arr), alpha_source, alpha_target)[:, None]

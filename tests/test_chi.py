@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ecc import DomainError, chi_curve, generate_shared_score, norms
+from ecc.chi import _average_ranks
 
 
 def test_identical_sequences_give_chi_one():
@@ -99,6 +102,25 @@ def test_input_validation():
         chi_curve(np.arange(30.0), np.arange(30.0), [0.5, 0.4])
     with pytest.raises(DomainError):
         chi_curve(np.arange(30.0), np.arange(30.0), [0.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected_naming_the_sequence(bad):
+    u = np.arange(30.0)
+    for name, args in (("u", (np.where(u == 7, bad, u), u)), ("v", (u, np.where(u == 3, bad, u)))):
+        with pytest.raises(DomainError, match=f"^{name} values must be finite"):
+            chi_curve(*args, [0.5])
+
+
+def test_average_ranks_hand_example():
+    assert _average_ranks(np.array([3.0, 1.0, 3.0, -0.0, 0.0, 2.0])).tolist() == [5.5, 3.0, 5.5, 1.5, 1.5, 4.0]
+
+
+@settings(deadline=None)  # the first call imports scipy
+@given(arrays(np.float64, st.integers(1, 60), elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, 1e-300, 7.0])))
+def test_average_ranks_match_scipy_rankdata(a):
+    stats = pytest.importorskip("scipy.stats")
+    assert _average_ranks(a).tobytes() == stats.rankdata(a, method="average").tobytes()
 
 
 def test_shared_score_norms_have_high_chi():
