@@ -20,13 +20,7 @@ import numpy as np
 from .chi import chi_curve
 from .curves import center, norms
 from .curveio import format_curves, parse_curve_file, read_text, resample_linear, write_curve_file
-from .errors import (
-    DegenerateSampleError,
-    DegenerateTailError,
-    DomainError,
-    GridMismatchError,
-    ParseError,
-)
+from .errors import DomainError, EccError, ParseError
 from .estimators import PipelineReport, estimate_pipeline, pairwise_matrix
 from .simulate import DgpConfig, ExperimentTable, bias_experiment, generate_paired, invert_oracle
 from .tail import K_METHODS, hill_series
@@ -81,7 +75,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 def _pipeline_kwargs(args) -> dict:
     return {
         "k": args.k,
-        "k_method": "fixed" if args.k is not None else args.kselect,
+        "k_method": args.kselect,  # the pipeline switches to "fixed" when k is given
         "alpha_target": args.alpha_target,
         "tau": args.tau,
         "do_center": not args.no_center,
@@ -339,7 +333,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _print_error(args.command, exc, _PARSE_EXIT)
         return _PARSE_EXIT
-    except (DomainError, DegenerateTailError, DegenerateSampleError, GridMismatchError) as exc:
+    except EccError as exc:  # every other package error is a domain or degenerate-data problem
         _print_error(args.command, exc, _DOMAIN_EXIT)
         return _DOMAIN_EXIT
     except Exception as exc:  # anything unexpected is an internal error

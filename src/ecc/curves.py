@@ -80,7 +80,11 @@ def inner_products(x, y) -> np.ndarray:
 
 def _norms(arr: np.ndarray) -> np.ndarray:
     """``norms`` of a sample ``as_sample`` already returned, without checking it again."""
-    return np.sqrt(np.sum(arr * arr, axis=1) / arr.shape[1])
+    try:
+        with np.errstate(over="raise"):
+            return np.sqrt(np.sum(arr * arr, axis=1) / arr.shape[1])
+    except FloatingPointError:
+        raise DomainError("curve norms overflow") from None
 
 
 def _center(arr: np.ndarray) -> np.ndarray:

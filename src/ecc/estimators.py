@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _center, _norms, as_sample, check_paired, inner_products, norms
+from .curves import _center, _norms, as_sample, check_paired, norms
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
 from .transform import _power_scales
@@ -91,7 +91,7 @@ def _exceedances(xs, ys, nx, ny, radii, k: int, rho_required: bool = True, scale
     xe, ye = xs[idx], ys[idx]
     if scales is not None:
         xe, ye = xe * scales[0][idx, None], ye * scales[1][idx, None]
-    ips = inner_products(xe, ye)
+    ips = np.sum(xe * ye, axis=1) / xe.shape[1]  # inner_products of the validated rows
     sum_ip = float(ips.sum())
     sum_x2 = float(np.sum(nx[idx] ** 2))
     sum_y2 = float(np.sum(ny[idx] ** 2))
@@ -143,10 +143,10 @@ def _pipelines(
     runs once per sample and its errors carry the sample's name; each pair
     runs only the transform decision, the radius fit and the exceedance pass.
     """
-    if alpha_target <= 0:
-        raise DomainError("alpha_target must be positive")
-    if tau < 0:
-        raise DomainError("tau must be nonnegative")
+    if not 0 < alpha_target < np.inf:
+        raise DomainError(f"alpha_target must be positive and finite, got {alpha_target}")
+    if not tau >= 0:  # tau = inf is legal: the transform never fires
+        raise DomainError(f"tau must be nonnegative, got {tau}")
     if k is not None:
         k_method = "fixed"
     _check_k_method(k_method, k)
@@ -214,14 +214,10 @@ def estimate_pipeline(
     return _pipelines((x, y), ("x", "y"), k, k_method, alpha_target, tau, do_center)[(0, 1)]
 
 
-def _hill_series_or_none(values) -> HillSeries | None:
+def _hill_series_or_none(values: np.ndarray) -> HillSeries | None:
     # advisory attachment: a series that cannot be computed is simply omitted
-    v = np.asarray(values, dtype=float)
-    k_max = min(v.size - 1, int(np.sum(v > 0)) - 1)
-    if k_max < 2:
-        return None
     try:
-        return hill_series(v, k_max)
+        return hill_series(values, np.count_nonzero(values > 0) - 1)
     except (DomainError, DegenerateTailError):
         return None
 

@@ -20,6 +20,10 @@ spaced order statistics for the quantile rule, rank-spaced exceedances for KS).
 full distance only while the bound can still win. The bound takes its max over
 a subset of the very floating-point terms of the full distance, so it never
 exceeds it, and the search returns exactly the candidate a full scan would.
+
+``hill``, ``hill_series`` and the two k rules each validate and sort their input
+once (``_sorted_desc``), then work on that array through private kernels only;
+``select_k`` just dispatches to them.
 """
 from __future__ import annotations
 
@@ -58,17 +62,14 @@ class HillSeries:
         return self.k.size
 
 
-def _as_values(values) -> np.ndarray:
+def _sorted_desc(values) -> np.ndarray:
+    """Validate values as a finite 1-d sequence and sort them descending: each entry point's one pass."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError("values must be a 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise DomainError("values must be finite")
-    return arr
-
-
-def _sorted_desc(values) -> np.ndarray:
-    return np.sort(_as_values(values))[::-1]
+    return np.sort(arr)[::-1]
 
 
 def _check_top_positive(v: np.ndarray, count: int) -> None:
@@ -76,14 +77,8 @@ def _check_top_positive(v: np.ndarray, count: int) -> None:
         raise DomainError(f"the top {count} values must be strictly positive")
 
 
-def hill(values, k: int) -> TailFit:
-    """Hill estimate of the tail index from the k largest values.
-
-    Raises DomainError if k is out of [1, n-1], a value is not finite or any
-    of the top k+1 values is nonpositive, and DegenerateTailError when the top
-    k values all equal the threshold (zero log-sum).
-    """
-    v = _sorted_desc(values)
+def _hill_fit(v: np.ndarray, k: int, method: str) -> TailFit:
+    """``hill`` on descending finite data ``_sorted_desc`` returned, reported under ``method``."""
     n = v.size
     if n < 2:
         raise DomainError("need at least 2 values")
@@ -94,7 +89,24 @@ def hill(values, k: int) -> TailFit:
     log_sum = float(np.sum(np.log(v[:k] / threshold)))
     if log_sum <= 0.0:
         raise DegenerateTailError("top order statistics are all equal; tail index undefined")
-    return TailFit(alpha_hat=k / log_sum, k=k, threshold=float(threshold), method="fixed")
+    return TailFit(alpha_hat=k / log_sum, k=k, threshold=float(threshold), method=method)
+
+
+def hill(values, k: int) -> TailFit:
+    """Hill estimate of the tail index from the k largest values.
+
+    Raises DomainError if k is out of [1, n-1], a value is not finite or any
+    of the top k+1 values is nonpositive, and DegenerateTailError when the top
+    k values all equal the threshold (zero log-sum).
+    """
+    return _hill_fit(_sorted_desc(values), k, "fixed")
+
+
+def _hill_log_sums(v: np.ndarray, k_max: int):
+    """log V_(1..k_max+1), k = 1..k_max and the log-sums k/alpha_hat(k); the top k_max+1 values are > 0."""
+    logs = np.log(v[: k_max + 1])
+    ks = np.arange(1, k_max + 1)
+    return logs, ks, np.cumsum(logs[:-1]) - ks * logs[1:]
 
 
 def hill_series(values, k_max: int) -> HillSeries:
@@ -104,21 +116,12 @@ def hill_series(values, k_max: int) -> HillSeries:
     if not 2 <= k_max <= n - 1:
         raise DomainError(f"k_max={k_max} out of range [2, {n - 1}]")
     _check_top_positive(v, k_max + 1)
-    logs = np.log(v[: k_max + 1])
-    ks = np.arange(1, k_max + 1)
-    log_sums = np.cumsum(logs[:-1]) - ks * logs[1:]
+    _, ks, log_sums = _hill_log_sums(v, k_max)
     if np.any(log_sums <= 0.0):
         raise DegenerateTailError("tied top order statistics; tail index undefined for some k")
     alpha = ks / log_sums
     half_width = 1.96 * alpha / np.sqrt(ks)
     return HillSeries(k=ks, alpha_hat=alpha, ci_low=alpha - half_width, ci_high=alpha + half_width)
-
-
-def _hill_gammas(v: np.ndarray, k_max: int) -> np.ndarray:
-    """1/alpha_hat(k) for k = 1..k_max on descending data (no validity checks)."""
-    logs = np.log(v[: k_max + 1])
-    ks = np.arange(1, k_max + 1)
-    return (np.cumsum(logs[:-1]) - ks * logs[1:]) / ks
 
 
 def _prune_argmin(bounds: np.ndarray, distance) -> tuple[int, float]:
@@ -148,14 +151,13 @@ def _mindist_dev(log_v, log_i, log_vk, gamma, log_k):
     return np.abs(log_v - (log_vk + gamma * (log_k - log_i)))
 
 
-def _mindist_search(values, k_min: int, k_max: int | None) -> tuple[int, float]:
-    """The k chosen by select_k_mindist and its distance.
+def _mindist_search(v: np.ndarray, k_min: int, k_max: int | None) -> tuple[int, float]:
+    """The k chosen by select_k_mindist on descending finite data ``v``, and its distance.
 
     A candidate's bound is its largest deviation over about ``_PROBES``
     geometrically spaced columns i; only candidates whose bound can still
     win get the full row i = 1..k_max.
     """
-    v = _sorted_desc(values)
     n = v.size
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
@@ -165,12 +167,12 @@ def _mindist_search(values, k_min: int, k_max: int | None) -> tuple[int, float]:
         raise DomainError(f"invalid candidate range [{k_min}, {k_max}] for n={n}")
     _check_top_positive(v, k_max + 1)
 
-    gammas = _hill_gammas(v, k_max)
+    logs, k_all, log_sums = _hill_log_sums(v, k_max)
+    gammas = log_sums / k_all  # 1/alpha_hat(k)
     if np.any(gammas[k_min - 1 :] <= 0.0):
         raise DegenerateTailError("tied top order statistics in the candidate range")
 
     ks = np.arange(k_min, k_max + 1)
-    logs = np.log(v[: k_max + 1])
     log_i = np.log(np.arange(1, k_max + 1))
     log_v, log_vk, gam, log_k = logs[:k_max], logs[ks], gammas[ks - 1], np.log(ks)
 
@@ -195,9 +197,8 @@ def select_k_mindist(values, k_min: int = 2, k_max: int | None = None) -> TailFi
     Candidates default to [2, 0.15 n]; the top 15% of the sample is the
     customary scan region for this rule.
     """
-    best_k, _ = _mindist_search(values, k_min, k_max)
-    fit = hill(values, best_k)
-    return TailFit(alpha_hat=fit.alpha_hat, k=best_k, threshold=fit.threshold, method="mindist")
+    v = _sorted_desc(values)
+    return _hill_fit(v, _mindist_search(v, k_min, k_max)[0], "mindist")
 
 
 def _ks_dev(val, a1, m, r, w):
@@ -224,26 +225,27 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
     """
     if min_exceedances < 1:
         raise DomainError(f"min_exceedances must be >= 1, got {min_exceedances}")
-    arr = _as_values(values)
-    n = arr.size
+    v = _sorted_desc(values)
+    n = v.size
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
-    pos = np.sort(arr[arr > 0])
-    distinct = np.unique(pos)
-    if distinct.size < min_exceedances:
+    # ascending positives as a slice of the sorted array: np.log of a reversed view may differ by an ulp
+    pos = v[::-1][n - np.count_nonzero(v > 0) :]
+    starts = np.ones(pos.size, dtype=bool)  # the first of each run of equal values in ``pos``
+    starts[1:] = pos[1:] != pos[:-1]
+    first_idx = np.flatnonzero(starts)
+    if first_idx.size < min_exceedances:
         raise DegenerateTailError(
-            f"need at least {min_exceedances} distinct positive values, got {distinct.size}"
+            f"need at least {min_exceedances} distinct positive values, got {first_idx.size}"
         )
 
     m_total = pos.size
     log_pos = np.log(pos)
     suffix_log_sum = np.concatenate([np.cumsum(log_pos[::-1])[::-1], [0.0]])
-    # first index of each distinct value in the ascending sorted array
-    first_idx = np.searchsorted(pos, distinct, side="left")
     counts = m_total - first_idx
     ok = counts >= min_exceedances
     cand_idx = first_idx[ok]
-    cand_val = distinct[ok]
+    cand_val = pos[cand_idx]
     cand_m = counts[ok]
 
     # ML exponent per candidate; zero log-sum candidates (all exceedances tied) are skipped

@@ -15,8 +15,9 @@ from .errors import DomainError
 
 def _power_scales(r, alpha_source: float, alpha_target: float) -> np.ndarray:
     """Per-curve factors ||x||^(alpha_source/alpha_target - 1) of the transform, from the norms r."""
-    if alpha_source <= 0 or alpha_target <= 0:
-        raise DomainError("tail indexes must be positive")
+    for name, alpha in (("alpha_source", alpha_source), ("alpha_target", alpha_target)):
+        if not 0 < alpha < np.inf:
+            raise DomainError(f"{name} must be positive and finite, got {alpha}")
     with np.errstate(divide="ignore"):
         return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecc
 from ecc import DgpConfig, generate_paired, parse_curve_file, write_curve_file
 from ecc.cli import main
 
@@ -60,6 +65,44 @@ def test_estimate_domain_error_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "estimate", "--x", str(p), "--y", str(p), "--k", "10")
     assert code == 3
     assert json.loads(err)["error"]["type"] in ("DomainError", "DegenerateSampleError")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--tau", "nan"], "tau"),
+    (["--alpha-target", "inf"], "alpha_target"),
+    (["--alpha-target", "nan"], "alpha_target"),
+])
+def test_estimate_non_finite_parameter_exits_3_naming_it(capsys, sample_files, argv, name):
+    xp, yp = sample_files
+    code, out, err = run_cli(capsys, "estimate", "--x", xp, "--y", yp, *argv)
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"].startswith(f"{name} must be")
+
+
+@pytest.mark.parametrize("source,target,name", [("nan", "3", "alpha_source"), ("3", "inf", "alpha_target")])
+def test_transform_non_finite_alpha_exits_3_naming_it(capsys, sample_files, source, target, name):
+    code, _, err = run_cli(capsys, "transform", "--input", sample_files[0],
+                           "--alpha-source", source, "--alpha-target", target)
+    assert code == 3
+    assert _error(err)["message"].startswith(f"{name} must be")
+
+
+def test_estimate_overflowing_norms_exit_3(capsys, tmp_path, sample_files):
+    big = tmp_path / "big.csv"
+    write_curve_file(big, parse_curve_file(sample_files[0]) * 1e160)
+    code, _, err = run_cli(capsys, "estimate", "--x", str(big), "--y", sample_files[1])
+    assert code == 3
+    assert _error(err)["message"] == "x: curve norms overflow"
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime dependency is numpy only; importing SciPy would cost every command about a second
+    probe = "import sys, ecc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(ecc.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_pairwise_matrix_csv(capsys, tmp_path, sample_files):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -109,6 +111,15 @@ def test_non_finite_values_rejected():
         norm([1.0, np.inf])
     with pytest.raises(DomainError):
         center([[1.0, np.nan]])
+
+
+def test_overflowing_norms_raise_without_warning():
+    s = np.full((3, 4), 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (norms, lambda a: pair_radii(a, a)):
+            with pytest.raises(DomainError, match="^curve norms overflow$"):
+                op(s)
 
 
 @given(curve_pairs())

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -282,9 +283,33 @@ def test_pipeline_rejects_bad_options():
     with pytest.raises(DomainError):
         estimate_pipeline(x, y, k_method="fixed")
     with pytest.raises(DomainError):
-        estimate_pipeline(x, y, alpha_target=0.0)
-    with pytest.raises(DomainError):
         estimate_pipeline(x, y, k_method="bogus")
+
+
+@pytest.mark.parametrize("option", [{"alpha_target": 0.0}, {"alpha_target": np.nan}, {"alpha_target": np.inf},
+                                    {"alpha_target": -np.inf}, {"tau": -1.0}, {"tau": np.nan}])
+def test_pipeline_rejects_bad_alpha_target_and_tau(option):
+    x, y = _dgp_sample(seed=11)
+    (name,) = option
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        estimate_pipeline(x, y, **option)
+
+
+def test_pipeline_infinite_tau_never_transforms():
+    x, y = _dgp_sample(seed=11)
+    y = np.sign(y) * np.abs(y) ** 2  # halves the tail index of y's norms
+    assert estimate_pipeline(x, y, tau=0.0).transformed
+    assert not estimate_pipeline(x, y, tau=np.inf).transformed
+
+
+def test_pipeline_overflowing_norms_raise_a_named_error_without_warning():
+    x, y = _dgp_sample(seed=12, n=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^x: curve norms overflow$"):
+            estimate_pipeline(x * (1e160 / np.abs(x).max()), y)
+        with pytest.raises(DomainError, match="^sample 1: curve norms overflow$"):
+            pairwise_matrix([x, y * 1e160, y])
 
 
 # --- pairwise -----------------------------------------------------------

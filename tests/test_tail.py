@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecc import (
     DegenerateTailError,
@@ -158,7 +158,7 @@ def test_mindist_matches_brute_force():
     rng = np.random.default_rng(21)
     for _ in range(5):
         v = (1 - rng.random(80)) ** (-1 / 2.2) * (1 + 0.1 * rng.random(80))
-        k, dist = _mindist_search(v, 2, None)
+        k, dist = _mindist_search(np.sort(v)[::-1], 2, None)
         fit = select_k_mindist(v)
         bk, bd = _brute_force_mindist(v)
         assert fit.k == k == bk
@@ -496,8 +496,37 @@ def test_mindist_matches_full_scan(values):
 
 @settings(max_examples=150, deadline=None)
 @given(tail_samples)
+# np.log of a reversed view of the positive values would shift alpha_hat by one ulp here
+@example(_tail_sample("pareto", 20, 4.345309203548877, 0, 0))
 def test_ks_matches_full_scan(values):
     _assert_same_outcome(select_k_ks, _full_scan_ks, values)
+
+
+def _reference_hill_series(values, k_max):
+    """(k, alpha_hat, ci_low, ci_high) by the log-sum formula, or None where a log-sum is not positive."""
+    v = np.sort(np.asarray(values, dtype=float))[::-1]
+    logs = np.log(v[: k_max + 1])
+    ks = np.arange(1, k_max + 1)
+    log_sums = np.cumsum(logs[:-1]) - ks * logs[1:]
+    if np.any(log_sums <= 0.0):
+        return None
+    alpha = ks / log_sums
+    half_width = 1.96 * alpha / np.sqrt(ks)
+    return ks, alpha, alpha - half_width, alpha + half_width
+
+
+@settings(max_examples=100, deadline=None)
+@given(tail_samples, st.floats(0.0, 1.0))
+def test_hill_series_matches_reference_bit_for_bit(values, frac):
+    k_max = 2 + int(frac * (values.size - 3))
+    expected = _reference_hill_series(values, k_max)
+    if expected is None:
+        with pytest.raises(DegenerateTailError):
+            hill_series(values, k_max)
+        return
+    got = hill_series(values, k_max)
+    for a, b in zip((got.k, got.alpha_hat, got.ci_low, got.ci_high), expected):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("shape", _SHAPES)

@@ -28,10 +28,11 @@ def test_zero_curve_maps_to_zero():
 
 def test_nonpositive_alpha_rejected():
     s = np.ones((2, 2))
-    with pytest.raises(DomainError):
-        power_transform(s, 0.0, 3.0)
-    with pytest.raises(DomainError):
-        power_transform(s, 3.0, -1.0)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="^alpha_source must be"):
+            power_transform(s, bad, 3.0)
+        with pytest.raises(DomainError, match="^alpha_target must be"):
+            power_transform(s, 3.0, bad)
 
 
 def test_direction_preserved():
