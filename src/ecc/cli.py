@@ -223,7 +223,11 @@ def _cmd_experiment(args) -> int:
 
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("ECC_THREADS", "1"))
+        env = os.environ.get("ECC_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ParseError(f"ECC_THREADS must be an integer, got {env!r}") from None
 
     rows = []
     for cell, alpha in enumerate(alphas):

@@ -28,7 +28,7 @@ import numpy as np
 from .curves import _center, _norms, as_sample, check_paired, norms
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
-from .transform import _power_scales
+from .transform import _power_scales, _rescaled
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,17 @@ def _paired(x, y):
     return xs, ys, nx, ny, np.maximum(nx, ny)
 
 
-def _exceedances(xs, ys, nx, ny, radii, k: int, rho_required: bool = True, scales=None) -> EccReport:
+def _exceedances(
+    xs, ys, nx, ny, radii, k: int, rho_required: bool = True, scales=None, gram=None
+) -> EccReport:
     """The exceedance pass over what ``_paired`` returns; each estimator is a view of it.
 
     The squared-norm sums reuse ``nx``/``ny``, bit-identical to norms of the
     exceedance rows as the samples are C-contiguous. With ``rho_required=False``
     a vanishing rho denominator gives rho_xy = nan instead of an error.
     ``scales=(sx, sy)`` stands for the samples ``xs * sx[:, None]``, ``ys * sy[:, None]``.
+    With ``gram`` the rows of ``xs``/``ys`` are basis scores and ``gram`` the
+    cross Gram matrix of their basis rows, so <x_i, y_i> = xs_i gram ys_iᵀ.
     """
     r_k = order_statistic(radii, k)
     if r_k <= 0.0:
@@ -91,7 +95,10 @@ def _exceedances(xs, ys, nx, ny, radii, k: int, rho_required: bool = True, scale
     xe, ye = xs[idx], ys[idx]
     if scales is not None:
         xe, ye = xe * scales[0][idx, None], ye * scales[1][idx, None]
-    ips = np.sum(xe * ye, axis=1) / xe.shape[1]  # inner_products of the validated rows
+    if gram is None:
+        ips = np.sum(xe * ye, axis=1) / xe.shape[1]  # inner_products of the validated rows
+    else:
+        ips = np.einsum("ij,ij->i", xe @ gram, ye)
     sum_ip = float(ips.sum())
     sum_x2 = float(np.sum(nx[idx] ** 2))
     sum_y2 = float(np.sum(ny[idx] ** 2))
@@ -167,18 +174,22 @@ def _pipelines(
                 arr = _center(arr)
             nrm = _norms(arr)
             fit = select_k(nrm, k_method, k)
-        return arr, nrm, fit, _hill_series_or_none(nrm)
+        return arr, nrm, fit, _hill_series_or_none(nrm), name
+
+    def transformed_norms(arr, nrm, fit, name):
+        # as row factors: no transformed copy is held through the radius fit (peak memory)
+        with _naming(name):
+            factors = _power_scales(nrm, fit.alpha_hat, alpha_target)
+            return factors, norms(_rescaled(arr, factors))
 
     def paired_stage(mx, my):
-        (xs, nx, tail_x, hill_x), (ys, ny, tail_y, hill_y) = mx, my
+        (xs, nx, tail_x, hill_x, name_x), (ys, ny, tail_y, hill_y, name_y) = mx, my
         transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
         scales = None
         if transformed:
-            # as row factors: no transformed copy is held through the radius fit (peak memory)
-            scales = (_power_scales(nx, tail_x.alpha_hat, alpha_target),
-                      _power_scales(ny, tail_y.alpha_hat, alpha_target))
-            # the rescaled samples are new arrays: norms checks that they stayed finite
-            nx, ny = norms(xs * scales[0][:, None]), norms(ys * scales[1][:, None])
+            (sx, nx), (sy, ny) = (transformed_norms(xs, nx, tail_x, name_x),
+                                  transformed_norms(ys, ny, tail_y, name_y))
+            scales = (sx, sy)
         radii = np.maximum(nx, ny)
         fit_r = select_k(radii, k_method, k)
         report = _exceedances(xs, ys, nx, ny, radii, fit_r.k, scales=scales)

@@ -17,6 +17,13 @@ each of two heavy-tailed components on and off independently per margin
 (population coefficient sqrt(p_a p_b)), and `variant="phase"` delays the Y
 margin on the grid, attenuating the coefficient.
 
+Every generator is basis scores times basis rows. ``_scores`` draws the
+scores and is the one draw order: ``draw_paired`` turns them into (n, J)
+curves on the grid, while the replications of ``replicate_rho`` never build
+curves and read each norm and exceedance inner product as a quadratic form
+in the discrete Gram matrix of the basis rows (for the phase variant, of the
+rows and their delayed copies).
+
 Reproducibility: a DgpConfig is fully deterministic in its seed; the
 experiment spawns one child stream per replication from the master seed, so
 results are identical for any worker count.
@@ -30,7 +37,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError
-from .estimators import _exceedances, _paired
+from .estimators import _exceedances
 from .tail import select_k
 
 VARIANTS = ("base", "bernoulli", "phase")
@@ -54,8 +61,8 @@ class DgpConfig:
     def __post_init__(self):
         if not -1.0 <= self.rho <= 1.0:
             raise DomainError("rho must lie in [-1, 1]")
-        if self.alpha <= 2.0:
-            raise DomainError("alpha must exceed 2")
+        if not self.alpha > 2.0:
+            raise DomainError(f"alpha must exceed 2, got {self.alpha}")
         if self.n < 1 or self.J < 2:
             raise DomainError("need n >= 1 and J >= 2")
         if self.variant not in VARIANTS:
@@ -64,8 +71,14 @@ class DgpConfig:
             raise DomainError("gate probabilities must lie in [0, 1]")
         if not 0.0 <= self.delta < 1.0:
             raise DomainError("delta must lie in [0, 1)")
-        if self.noise_variance < 0.0:
-            raise DomainError("noise_variance must be nonnegative")
+        if not 0.0 <= self.noise_variance < np.inf:
+            raise DomainError(f"noise_variance must be nonnegative and finite, got {self.noise_variance}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    if not isinstance(seed, np.random.SeedSequence) and seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
 
 
 def basis(j: int, J: int) -> np.ndarray:
@@ -116,29 +129,40 @@ def phase_shift(s, delta: float) -> np.ndarray:
     return out
 
 
-def draw_paired(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Generate one paired sample from an explicit random stream."""
-    n, J, alpha = cfg.n, cfg.J, cfg.alpha
+def _basis_rows(cfg: DgpConfig) -> np.ndarray:
+    """The basis rows the scores of ``_scores`` weight: phi1, phi2 (bernoulli) or phi1..phi3."""
+    return np.stack([basis(j, cfg.J) for j in range(1, 3 if cfg.variant == "bernoulli" else 4)])
+
+
+def _scores(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Basis scores (cx, cy) of one paired sample: x = cx @ rows and y = cy @ rows,
+    then delayed by ``phase_shift`` for the phase variant."""
+    n, alpha = cfg.n, cfg.alpha
     sd = np.sqrt(cfg.noise_variance)
     if cfg.variant == "bernoulli":
         z = _pareto(rng, alpha, (n, 2))
         nrm = rng.normal(0.0, sd, (n, 2))
         a = rng.random((n, 2)) < cfg.p_a
         b = rng.random((n, 2)) < cfg.p_b
-        phis = np.stack([basis(1, J), basis(2, J)])
-        x = (np.where(a, z, nrm)) @ phis
-        y = (np.where(b, z, nrm)) @ phis
-        return x, y
-
+        return np.where(a, z, nrm), np.where(b, z, nrm)
     rho = cfg.rho
     z1 = _pareto(rng, alpha, n)
     z2 = _pareto(rng, alpha, n)
     n1 = rng.normal(0.0, sd, n)
     n2 = rng.normal(0.0, sd, n)
     n3 = rng.normal(0.0, sd, n)
-    p1, p2, p3 = basis(1, J), basis(2, J), basis(3, J)
-    x = np.outer(z1, p1) + np.outer(n1, p2) + np.outer(n2, p3)
-    y = np.outer(rho * z1, p1) + np.outer(np.sqrt(1.0 - rho * rho) * z2, p2) + np.outer(n3, p3)
+    return np.column_stack([z1, n1, n2]), np.column_stack([rho * z1, np.sqrt(1.0 - rho * rho) * z2, n3])
+
+
+def draw_paired(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Generate one paired sample from an explicit random stream."""
+    cx, cy = _scores(rng, cfg)
+    p = _basis_rows(cfg)
+    if cfg.variant == "bernoulli":
+        return cx @ p, cy @ p
+    # sums of outer products, and the delay applied on the grid: `ecc simulate` files keep their bits
+    x = np.outer(cx[:, 0], p[0]) + np.outer(cx[:, 1], p[1]) + np.outer(cx[:, 2], p[2])
+    y = np.outer(cy[:, 0], p[0]) + np.outer(cy[:, 1], p[1]) + np.outer(cy[:, 2], p[2])
     if cfg.variant == "phase":
         y = phase_shift(y, cfg.delta)
     return x, y
@@ -279,6 +303,21 @@ class ExperimentTable:
         return "\n".join(lines) + "\n"
 
 
+def _check_run(seed, threads: int) -> None:
+    _check_seed(seed)
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+
+
+def _gram_norms(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Norms of the curves with basis scores ``c``: sqrt(c_i gram c_iᵀ), ``gram`` their basis Gram matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.einsum("ij,ij->i", c @ gram, c)
+    if not np.all((q >= 0.0) & (q < np.inf)):
+        raise DomainError("curve norms overflow or are not a nonnegative quadratic form")
+    return np.sqrt(q)
+
+
 def replicate_rho(
     cfg: DgpConfig,
     reps: int,
@@ -293,18 +332,28 @@ def replicate_rho(
     own child stream spawned from ``seed``, so the result does not depend on
     the worker count; replications that raise degenerate-data errors are
     dropped and counted.
+
+    A replication draws the basis scores only, never the (n, J) curves:
+    norms and inner products are quadratic forms in the discrete Gram
+    matrices of the basis rows, taken once per call. rho_hat can therefore
+    differ in the last ulps from ``ecc_report`` on ``draw_paired`` curves.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
+    _check_run(seed, threads)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(reps)
+    px = _basis_rows(cfg)
+    py = phase_shift(px, cfg.delta) if cfg.variant == "phase" else px
+    gxx, gyy, gxy = (a @ b.T / cfg.J for a, b in ((px, px), (py, py), (px, py)))
 
     def one(i: int):
-        rng = np.random.default_rng(streams[i])
-        xs, ys, nx, ny, radii = _paired(*draw_paired(rng, cfg))
+        cx, cy = _scores(np.random.default_rng(streams[i]), cfg)
+        nx, ny = _gram_norms(cx, gxx), _gram_norms(cy, gyy)
+        radii = np.maximum(nx, ny)
         try:
             k = select_k(radii, k_method, k_fixed).k
-            return _exceedances(xs, ys, nx, ny, radii, k).rho_xy, k
+            return _exceedances(cx, cy, nx, ny, radii, k, gram=gxy).rho_xy, k
         except (DegenerateSampleError, DegenerateTailError):
             return np.nan, 0
 
@@ -340,6 +389,7 @@ def bias_experiment(
     margins are tail equivalent by construction, so the marginal steps are
     skipped). Rows report |mean - target| and the sample standard deviation.
     """
+    _check_run(seed, threads)
     targets = [float(t) for t in targets]
     rows = []
     target_seeds = np.random.SeedSequence(seed).spawn(len(targets))

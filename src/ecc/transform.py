@@ -18,11 +18,23 @@ def _power_scales(r, alpha_source: float, alpha_target: float) -> np.ndarray:
     for name, alpha in (("alpha_source", alpha_source), ("alpha_target", alpha_target)):
         if not 0 < alpha < np.inf:
             raise DomainError(f"{name} must be positive and finite, got {alpha}")
-    with np.errstate(divide="ignore"):
-        return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
+    try:
+        with np.errstate(divide="ignore", over="raise"):
+            return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
+    except FloatingPointError:
+        raise DomainError("power transform factors overflow") from None
+
+
+def _rescaled(arr: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``arr`` with each curve multiplied by its factor; a product that overflows raises."""
+    try:
+        with np.errstate(over="raise"):
+            return arr * factors[:, None]
+    except FloatingPointError:
+        raise DomainError("transformed curves overflow") from None
 
 
 def power_transform(s, alpha_source: float, alpha_target: float) -> np.ndarray:
     """Rescale every curve so the norm tail index moves from alpha_source to alpha_target."""
     arr = as_sample(s)
-    return arr * _power_scales(_norms(arr), alpha_source, alpha_target)[:, None]
+    return _rescaled(arr, _power_scales(_norms(arr), alpha_source, alpha_target))

@@ -263,6 +263,42 @@ def _error(err):
     return json.loads(err)["error"]
 
 
+def test_simulate_negative_seed_exits_3_naming_it(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--alpha", "3", "--n", "20", "--seed", "-1",
+                           "--out-x", str(tmp_path / "x.csv"), "--out-y", str(tmp_path / "y.csv"))
+    assert code == 3
+    assert _error(err)["message"].startswith("seed must be nonnegative")
+
+
+_TINY_EXPERIMENT = "rho_xy = 0.5\nalpha = 3\nn = 60\nreps = 2\nk_method = fixed\nk = 8\nj = 20\n"
+
+
+@pytest.mark.parametrize("extra,argv,name", [
+    ("seed = 3\n", ["--threads", "0"], "threads"),
+    ("seed = 3\n", ["--threads", "-3"], "threads"),
+    ("seed = -4\n", [], "seed"),
+    ("seed = 3\nnoise_variance = nan\n", [], "noise_variance"),
+])
+def test_experiment_bad_run_parameter_exits_3_naming_it(capsys, tmp_path, extra, argv, name):
+    config = tmp_path / "exp.cfg"
+    config.write_text(_TINY_EXPERIMENT + extra)
+    code, out, err = run_cli(capsys, "experiment", "--config", str(config), *argv)
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"].startswith(f"{name} must")
+
+
+@pytest.mark.parametrize("value,code,name", [("abc", 2, "ECC_THREADS"), ("0", 3, "threads")])
+def test_experiment_bad_threads_env_exits_naming_it(capsys, tmp_path, monkeypatch, value, code, name):
+    config = tmp_path / "exp.cfg"
+    config.write_text(_TINY_EXPERIMENT + "seed = 3\n")
+    monkeypatch.setenv("ECC_THREADS", value)
+    got, _, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert got == code
+    assert _error(err)["message"].startswith(f"{name} must")
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -312,6 +312,25 @@ def test_pipeline_overflowing_norms_raise_a_named_error_without_warning():
             pairwise_matrix([x, y * 1e160, y])
 
 
+def test_pipeline_overflowing_transform_names_the_margin_without_warning():
+    # tau = 0 with a tiny alpha_target raises each curve's norm to a huge power
+    x, y = draw_paired(np.random.default_rng(1), DgpConfig(rho=0.5, alpha=3.0, n=300, J=20, seed=1))
+    heavy = y * np.abs(y) ** 0.5
+    big = x * (1e150 / norms(x).max())
+    alpha_big = estimate_pipeline(big, y, tau=np.inf).tail_x.alpha_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^x: power transform factors overflow$"):
+            estimate_pipeline(x, heavy, alpha_target=0.01, tau=0.0)
+        with pytest.raises(DomainError, match="^y: curve norms overflow$"):
+            estimate_pipeline(x * 1e-3, heavy, alpha_target=0.01, tau=0.0)
+        with pytest.raises(DomainError, match="^sample 2: curve norms overflow$"):
+            pairwise_matrix([x * 1e-3, x * 2e-3, heavy], alpha_target=0.01, tau=0.0)
+        # finite factors (norm^1.5) whose products with the curve values overflow
+        with pytest.raises(DomainError, match="^x: transformed curves overflow$"):
+            estimate_pipeline(big, y, alpha_target=alpha_big / 2.5, tau=0.0)
+
+
 # --- pairwise -----------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,11 @@ from ecc import (
     pair_radii,
     phase_shift,
     replicate_rho,
+    select_k,
 )
+from ecc.errors import DegenerateSampleError, DegenerateTailError
+from ecc.estimators import _exceedances, _paired
+from ecc.simulate import _gram_norms
 
 # frozen with mpmath at 30 digits: 0.5 / sqrt(0.25 + 0.75^1.5)
 ORACLE_HALF_ALPHA3 = 0.527187156166255
@@ -113,6 +119,32 @@ def test_config_validation():
         DgpConfig(rho=0.0, alpha=3.0, n=10, variant="phase", delta=1.0)
     with pytest.raises(DomainError):
         DgpConfig(rho=0.0, alpha=3.0, n=10, variant="bernoulli", p_a=1.2)
+    for kwargs, name in (({"alpha": np.nan}, "alpha"), ({"noise_variance": np.nan}, "noise_variance"),
+                         ({"noise_variance": np.inf}, "noise_variance"), ({"seed": -1}, "seed")):
+        with pytest.raises(DomainError, match=f"^{name} must"):
+            DgpConfig(**{"rho": 0.0, "alpha": 3.0, "n": 10, **kwargs})
+
+
+# sha256 of x.tobytes() and y.tobytes(): draw_paired shares its score drawer with
+# replicate_rho, and `ecc simulate` files must keep their bits
+PINNED_DRAWS = [
+    (DgpConfig(rho=0.6, alpha=3.0, n=40, J=30, seed=11),
+     "27b5261f5e948383a36f4eb7f25a8238815a133503f2e2475736be14a6a680b2",
+     "aa7c6cef934066309fbd9df7676d704ae48114d399ad0b285ec8d80a1235b3d9"),
+    (DgpConfig(rho=0.0, alpha=3.0, n=40, J=30, seed=12, variant="bernoulli", p_a=0.5, p_b=0.5),
+     "8e3a25af686ab8d4fc16994152ca5e70a8335169fa8e7a08e43079a8347f4404",
+     "f05bb600606f64a075730f80f9f08c8d17e24889e52ba07ac34e8ccdf8586174"),
+    (DgpConfig(rho=0.6, alpha=3.0, n=40, J=30, seed=13, variant="phase", delta=0.3),
+     "01e39c0469360c498a01996304ba64426cc7d55072a48851db4364f14c8abe5c",
+     "8ef77c412610da545acfccda7b7b9dec79bd88cacde1bc4a5567f36e48f06e05"),
+]
+
+
+@pytest.mark.parametrize("cfg,sha_x,sha_y", PINNED_DRAWS, ids=["base", "bernoulli", "phase"])
+def test_generate_paired_bits_are_pinned(cfg, sha_x, sha_y):
+    x, y = generate_paired(cfg)
+    assert hashlib.sha256(x.tobytes()).hexdigest() == sha_x
+    assert hashlib.sha256(y.tobytes()).hexdigest() == sha_y
 
 
 def test_bernoulli_variant_all_gates_open_means_equal_margins():
@@ -248,6 +280,52 @@ def test_replicate_rho_deterministic_and_thread_invariant():
     assert np.array_equal(a[0], c[0])
     d = replicate_rho(cfg, reps=12, seed=78, k_method="fixed", k_fixed=10)
     assert not np.array_equal(a[0], d[0])
+
+
+def _grid_rho(cfg, stream, k_method, k_fixed):
+    xs, ys, nx, ny, radii = _paired(*draw_paired(np.random.default_rng(stream), cfg))
+    try:
+        k = select_k(radii, k_method, k_fixed).k
+        return _exceedances(xs, ys, nx, ny, radii, k).rho_xy, k
+    except (DegenerateSampleError, DegenerateTailError):
+        return np.nan, 0
+
+
+@pytest.mark.parametrize("variant", [{}, {"variant": "bernoulli"}, {"variant": "phase", "delta": 0.3}],
+                         ids=["base", "bernoulli", "phase"])
+@pytest.mark.parametrize("k_method,k_fixed", [("mindist", None), ("ks", None), ("fixed", 25)])
+def test_replicate_rho_matches_the_grid_path(variant, k_method, k_fixed):
+    cfg = DgpConfig(rho=invert_oracle(0.7, 3.0), alpha=3.0, n=400, J=50, **variant)
+    reps, seed = 12, 2024
+    rho_hats, ks, failed = replicate_rho(cfg, reps, seed, k_method, k_fixed)
+    grid = [_grid_rho(cfg, s, k_method, k_fixed) for s in np.random.SeedSequence(seed).spawn(reps)]
+    grid_rho = np.array([r for r, _ in grid])
+    good = ~np.isnan(grid_rho)
+    assert failed == reps - good.sum()
+    assert np.array_equal(ks, [k for (_, k), g in zip(grid, good) if g])
+    assert np.max(np.abs(rho_hats - grid_rho[good])) <= 1e-12
+
+
+def test_gram_norms_raise_on_negative_or_nan_forms_without_warning():
+    c = np.array([[1.0, 2.0], [3.0, -1.0]])
+    with pytest.raises(DomainError, match="curve norms"):
+        _gram_norms(c, -np.eye(2))
+    with pytest.raises(DomainError, match="curve norms"):
+        _gram_norms(np.array([[np.inf, 1.0]]), np.eye(2))
+    with pytest.raises(DomainError, match="curve norms"):
+        _gram_norms(np.array([[1e200, 1e200]]), np.eye(2))
+    assert np.array_equal(_gram_norms(c, np.eye(2)), np.sqrt([5.0, 10.0]))
+
+
+@pytest.mark.parametrize("kwargs,name", [({"threads": 0}, "threads"), ({"threads": -3}, "threads"),
+                                         ({"seed": -4}, "seed")])
+def test_replicate_rho_and_bias_experiment_range_check_threads_and_seed(kwargs, name):
+    cfg = DgpConfig(rho=0.5, alpha=3.0, n=60, J=30)
+    run = {"seed": 1, **kwargs}
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        replicate_rho(cfg, 2, run["seed"], "fixed", 8, threads=run.get("threads", 1))
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        bias_experiment([0.5], alpha=3.0, n=60, reps=2, k_method="fixed", k_fixed=8, **run)
 
 
 def test_bias_experiment_table_shape_and_determinism():

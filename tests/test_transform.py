@@ -75,3 +75,13 @@ def test_pareto_tail_law():
         expected = (1.0 - p) ** (-1.0 / 4.0)
         assert np.quantile(r, p) == pytest.approx(expected, rel=0.02)
     assert r.min() >= 1.0 - 1e-9
+
+
+def test_overflowing_transform_raises_without_warning():
+    rng = np.random.default_rng(4)
+    s = rng.normal(size=(50, 20))
+    s[0] *= 1e150
+    with pytest.raises(DomainError, match="^transformed curves overflow$"):
+        power_transform(s, 3.0, 1.2)  # factor norm^1.5 is finite, the products are not
+    with pytest.raises(DomainError, match="^power transform factors overflow$"):
+        power_transform(s, 3.0, 0.5)
