@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: estimate, pairwise, hill, chi, simulate, experiment, transform.
-Curve files are CSV (rows = curves, columns = grid points). Reports are JSON
-with a top-level schema_version; series and tables are CSV. Errors print a
-JSON object naming the failing operation to stderr and exit with 2 for parse
-problems, 3 for domain/degenerate-data problems, and 1 for anything else.
+Subcommands: estimate, pairwise, hill, chi, simulate, experiment, transform,
+resample. Curve files are CSV (rows = curves, columns = grid points). Reports
+are JSON with a top-level schema_version; series and tables are CSV; ``-`` is
+stdout on every output flag. Errors print a JSON object naming the failing
+operation to stderr and exit with 2 for parse problems and unwritable outputs,
+3 for domain/degenerate-data problems, and 1 for anything else.
 """
 from __future__ import annotations
 
@@ -32,12 +33,21 @@ _PARSE_EXIT = 2
 _DOMAIN_EXIT = 3
 _INTERNAL_EXIT = 1
 
+QGRID_MAX_POINTS = 10_000  # the most points a --qgrid may span, counted before any is made
 
-def _emit(text: str, path: str | None) -> None:
+
+def _emit(output, path: str | None) -> None:
+    """Write a text, or a sample as a curve file, to ``path`` (None or "-": stdout); exit 2 if unwritable."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.write(output if isinstance(output, str) else format_curves(output))
+        return
+    try:
+        if isinstance(output, str):
+            Path(path).write_text(output, encoding="utf-8")
+        else:
+            write_curve_file(path, output)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def _pipeline_report_dict(rep: PipelineReport) -> dict:
@@ -110,7 +120,7 @@ def _cmd_pairwise(args) -> int:
                 for (a, b), rep in sorted(reports.items())
             ],
         }
-        Path(args.json).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        _emit(json.dumps(meta, indent=2) + "\n", args.json)
     return 0
 
 
@@ -129,8 +139,10 @@ def _parse_qgrid(arg: str) -> np.ndarray:
         start, stop, step = (float(tok) for tok in arg.split(":"))
     except ValueError:
         raise ParseError(f"--qgrid expects start:stop:step, got {arg!r}") from None
-    if step <= 0 or stop < start:
-        raise DomainError(f"bad q grid {arg!r}")
+    if not (step > 0 and stop >= start  # np.arange's length below is nan or inf if a value is not finite
+            and (stop + step * 0.5 - start) / step <= QGRID_MAX_POINTS):
+        raise DomainError(f"--qgrid {arg!r} needs finite start <= stop, step > 0 and at most "
+                          f"{QGRID_MAX_POINTS} points")
     grid = np.arange(start, stop + step * 0.5, step)
     return grid[(grid > 0.0) & (grid < 1.0)]
 
@@ -171,8 +183,8 @@ def _cmd_simulate(args) -> int:
         rho = invert_oracle(args.rho_xy, args.alpha)
     cfg = DgpConfig(rho=rho, alpha=args.alpha, n=args.n, J=args.J, seed=args.seed, **extra)
     x, y = generate_paired(cfg)
-    write_curve_file(args.out_x, x)
-    write_curve_file(args.out_y, y)
+    _emit(x, args.out_x)
+    _emit(y, args.out_y)
     return 0
 
 
@@ -241,21 +253,19 @@ def _cmd_experiment(args) -> int:
     table = ExperimentTable(rows=rows)
     _emit(table.to_wide_csv(), args.out_csv)
     if args.out_json is not None:
-        Path(args.out_json).write_text(table.to_json() + "\n", encoding="utf-8")
+        _emit(table.to_json() + "\n", args.out_json)
     return 0
 
 
 def _cmd_transform(args) -> int:
     sample = parse_curve_file(args.input)
-    out = power_transform(sample, args.alpha_source, args.alpha_target)
-    _emit(format_curves(out), args.output)
+    _emit(power_transform(sample, args.alpha_source, args.alpha_target), args.output)
     return 0
 
 
 def _cmd_resample(args) -> int:
     sample = parse_curve_file(args.input)
-    out = resample_linear(sample, args.J)
-    _emit(format_curves(out), args.output)
+    _emit(resample_linear(sample, args.J), args.output)
     return 0
 
 
@@ -334,15 +344,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        _print_error(args.command, exc, _PARSE_EXIT)
-        return _PARSE_EXIT
-    except EccError as exc:  # every other package error is a domain or degenerate-data problem
-        _print_error(args.command, exc, _DOMAIN_EXIT)
-        return _DOMAIN_EXIT
-    except Exception as exc:  # anything unexpected is an internal error
-        _print_error(args.command, exc, _INTERNAL_EXIT)
-        return _INTERNAL_EXIT
+    except Exception as exc:  # other package errors are domain problems; anything else is internal
+        code = (_PARSE_EXIT if isinstance(exc, ParseError)
+                else _DOMAIN_EXIT if isinstance(exc, EccError) else _INTERNAL_EXIT)
+        _print_error(args.command, exc, code)
+        return code
 
 
 def _print_error(operation: str, exc: Exception, code: int) -> None:

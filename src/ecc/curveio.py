@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import as_sample
+from .curves import as_sample, grid
 from .errors import DomainError, EmptyInputError, ParseError
 
 
@@ -113,6 +113,5 @@ def resample_linear(s, J_target: int) -> np.ndarray:
         raise DomainError("resampling needs J >= 2")
     if J_target < 2:
         raise DomainError("J_target must be >= 2")
-    t_src = np.arange(1, J + 1) / J
-    t_dst = np.arange(1, J_target + 1) / J_target
+    t_src, t_dst = grid(J), grid(J_target)
     return np.stack([np.interp(t_dst, t_src, row) for row in arr])

@@ -74,7 +74,11 @@ def norm(x) -> float:
 
 def inner_products(x, y) -> np.ndarray:
     """Row-wise inner products of two aligned samples, shape (n,)."""
-    xs, ys = check_paired(x, y)
+    return _inner_products(*check_paired(x, y))
+
+
+def _inner_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``inner_products`` of a pair ``check_paired`` already returned, without checking it again."""
     return np.sum(xs * ys, axis=1) / xs.shape[1]
 
 

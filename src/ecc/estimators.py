@@ -12,11 +12,11 @@ divisor. rho_hat restricts numerator and both denominator sums to the same
 exceedance set, which keeps it in [-1, 1] by Cauchy-Schwarz; it is clamped to
 that interval to absorb last-ulp rounding.
 
-``estimate_pipeline`` wraps the full workflow: optional centering, marginal
-tail-index fits, a power transformation when the margins are not tail
-equivalent, k-selection on the radii, and the three estimates, all read off
-one pass over the exceedance set. ``pairwise_matrix`` runs each sample's
-marginal stage once and only the paired stage per pair.
+One pass, ``_exceedances``, computes all three. It reads a sample only through
+the margins' norms, the radii and ``inner_products(idx)``, the <x_i, y_i> of
+the exceedances, which each caller reads from its own storage: grid rows,
+transformed rows or basis scores. ``_radius_fit`` (k chosen on the radii, then
+the pass) ends both ``estimate_pipeline`` and each Monte Carlo replication.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _center, _norms, as_sample, check_paired, norms
+from .curves import _center, _inner_products, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
 from .transform import _power_scales, _rescaled
@@ -70,35 +70,19 @@ def order_statistic(values, k: int) -> float:
 
 
 def _paired(x, y):
-    """Validate a pair once; return it with each margin's norms and the pair radii."""
+    """Validate a pair once; return what ``_exceedances`` reads of it."""
     xs, ys = check_paired(x, y)
     nx, ny = _norms(xs), _norms(ys)
-    return xs, ys, nx, ny, np.maximum(nx, ny)
+    return nx, ny, np.maximum(nx, ny), lambda idx: _inner_products(xs[idx], ys[idx])
 
 
-def _exceedances(
-    xs, ys, nx, ny, radii, k: int, rho_required: bool = True, scales=None, gram=None
-) -> EccReport:
-    """The exceedance pass over what ``_paired`` returns; each estimator is a view of it.
-
-    The squared-norm sums reuse ``nx``/``ny``, bit-identical to norms of the
-    exceedance rows as the samples are C-contiguous. With ``rho_required=False``
-    a vanishing rho denominator gives rho_xy = nan instead of an error.
-    ``scales=(sx, sy)`` stands for the samples ``xs * sx[:, None]``, ``ys * sy[:, None]``.
-    With ``gram`` the rows of ``xs``/``ys`` are basis scores and ``gram`` the
-    cross Gram matrix of their basis rows, so <x_i, y_i> = xs_i gram ys_iᵀ.
-    """
+def _exceedances(nx, ny, radii, inner_products, k: int, rho_required: bool = True) -> EccReport:
+    """The exceedance pass; with ``rho_required=False`` a vanishing rho denominator gives rho_xy = nan."""
     r_k = order_statistic(radii, k)
     if r_k <= 0.0:
         raise DegenerateSampleError(f"fewer than k={k} pairs with a nonzero curve")
     idx = np.flatnonzero(radii >= r_k)
-    xe, ye = xs[idx], ys[idx]
-    if scales is not None:
-        xe, ye = xe * scales[0][idx, None], ye * scales[1][idx, None]
-    if gram is None:
-        ips = np.sum(xe * ye, axis=1) / xe.shape[1]  # inner_products of the validated rows
-    else:
-        ips = np.einsum("ij,ij->i", xe @ gram, ye)
+    ips = inner_products(idx)
     sum_ip = float(ips.sum())
     sum_x2 = float(np.sum(nx[idx] ** 2))
     sum_y2 = float(np.sum(ny[idx] ** 2))
@@ -110,6 +94,12 @@ def _exceedances(
         rho = float(np.clip(sum_ip / np.sqrt(sum_x2 * sum_y2), -1.0, 1.0))
     gamma = float(np.sum(ips / radii[idx] ** 2) / k)
     return EccReport(sum_ip / (k * r_k * r_k), rho, gamma, k, r_k, idx)
+
+
+def _radius_fit(nx, ny, inner_products, k_method: str, k: int | None) -> EccReport:
+    """The radius stage: the radii, k chosen on them by ``k_method``, then the exceedance pass."""
+    radii = np.maximum(nx, ny)
+    return _exceedances(nx, ny, radii, inner_products, select_k(radii, k_method, k).k)
 
 
 def extremal_covariance(x, y, k: int) -> float:
@@ -144,12 +134,7 @@ def _naming(name: str):
 def _pipelines(
     samples, names, k=None, k_method="mindist", alpha_target=3.0, tau=0.5, do_center=True
 ) -> dict[tuple[int, int], PipelineReport]:
-    """``estimate_pipeline`` on every pair (a, b), a < b, of ``samples``.
-
-    The marginal stage (validation, centering, norms, tail fit, Hill series)
-    runs once per sample and its errors carry the sample's name; each pair
-    runs only the transform decision, the radius fit and the exceedance pass.
-    """
+    """``estimate_pipeline`` on each pair (a, b), a < b, of ``samples``; see ``pairwise_matrix``."""
     if not 0 < alpha_target < np.inf:
         raise DomainError(f"alpha_target must be positive and finite, got {alpha_target}")
     if not tau >= 0:  # tau = inf is legal: the transform never fires
@@ -180,19 +165,22 @@ def _pipelines(
         # as row factors: no transformed copy is held through the radius fit (peak memory)
         with _naming(name):
             factors = _power_scales(nrm, fit.alpha_hat, alpha_target)
-            return factors, norms(_rescaled(arr, factors))
+            return factors, _norms(_rescaled(arr, factors))
 
     def paired_stage(mx, my):
         (xs, nx, tail_x, hill_x, name_x), (ys, ny, tail_y, hill_y, name_y) = mx, my
         transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
-        scales = None
         if transformed:
             (sx, nx), (sy, ny) = (transformed_norms(xs, nx, tail_x, name_x),
                                   transformed_norms(ys, ny, tail_y, name_y))
-            scales = (sx, sy)
-        radii = np.maximum(nx, ny)
-        fit_r = select_k(radii, k_method, k)
-        report = _exceedances(xs, ys, nx, ny, radii, fit_r.k, scales=scales)
+
+        def inner_products(idx):  # of the transformed rows when the transform fired
+            xe, ye = xs[idx], ys[idx]
+            if transformed:
+                xe, ye = xe * sx[idx, None], ye * sy[idx, None]
+            return _inner_products(xe, ye)
+
+        report = _radius_fit(nx, ny, inner_products, k_method, k)
         return PipelineReport(report, k_method, do_center, tail_x, tail_y, hill_x, hill_y,
                               transformed, alpha_target, tau)
 

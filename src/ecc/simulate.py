@@ -20,9 +20,10 @@ margin on the grid, attenuating the coefficient.
 Every generator is basis scores times basis rows. ``_scores`` draws the
 scores and is the one draw order: ``draw_paired`` turns them into (n, J)
 curves on the grid, while the replications of ``replicate_rho`` never build
-curves and read each norm and exceedance inner product as a quadratic form
-in the discrete Gram matrix of the basis rows (for the phase variant, of the
-rows and their delayed copies).
+curves. They hand the estimators' radius stage (``_radius_fit``) the norms
+and an exceedance inner-product reader as quadratic forms in the discrete
+Gram matrix of the basis rows (for the phase variant, of the rows and their
+delayed copies).
 
 Reproducibility: a DgpConfig is fully deterministic in its seed; the
 experiment spawns one child stream per replication from the master seed, so
@@ -36,9 +37,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .curves import grid
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError
-from .estimators import _exceedances
-from .tail import select_k
+from .estimators import _radius_fit
 
 VARIANTS = ("base", "bernoulli", "phase")
 
@@ -87,8 +88,7 @@ def basis(j: int, J: int) -> np.ndarray:
         raise DomainError("basis order j must be >= 1")
     if J < 2:
         raise DomainError("J must be >= 2")
-    t = np.arange(1, J + 1) / J
-    return np.sqrt(2.0) * np.sin((j - 0.5) * np.pi * t)
+    return np.sqrt(2.0) * np.sin((j - 0.5) * np.pi * grid(J))
 
 
 def draw_symmetric_pareto(alpha: float, u, s):
@@ -105,12 +105,17 @@ def draw_symmetric_pareto(alpha: float, u, s):
         raise DomainError("u must lie in (0, 1]")
     if np.any(s_arr < 0.0) or np.any(s_arr >= 1.0):
         raise DomainError("s must lie in [0, 1)")
-    out = u_arr ** (-1.0 / alpha) * np.where(s_arr < 0.5, 1.0, -1.0)
+    out = _symmetric_pareto(alpha, u_arr, s_arr)
     return out if out.ndim else float(out)
 
 
+def _symmetric_pareto(alpha: float, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return u ** (-1.0 / alpha) * np.where(s < 0.5, 1.0, -1.0)
+
+
 def _pareto(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
-    return draw_symmetric_pareto(alpha, 1.0 - rng.random(size), rng.random(size))
+    # the uniforms lie in (0, 1] and [0, 1) by construction: no checks
+    return _symmetric_pareto(alpha, 1.0 - rng.random(size), rng.random(size))
 
 
 def phase_shift(s, delta: float) -> np.ndarray:
@@ -331,12 +336,9 @@ def replicate_rho(
     Returns (rho_hats, selected_ks, failures). Each replication runs on its
     own child stream spawned from ``seed``, so the result does not depend on
     the worker count; replications that raise degenerate-data errors are
-    dropped and counted.
-
-    A replication draws the basis scores only, never the (n, J) curves:
-    norms and inner products are quadratic forms in the discrete Gram
-    matrices of the basis rows, taken once per call. rho_hat can therefore
-    differ in the last ulps from ``ecc_report`` on ``draw_paired`` curves.
+    dropped and counted. Replications read basis scores (see the module
+    docstring), so rho_hat can differ in the last ulps from ``ecc_report`` on
+    ``draw_paired`` curves.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
@@ -350,10 +352,10 @@ def replicate_rho(
     def one(i: int):
         cx, cy = _scores(np.random.default_rng(streams[i]), cfg)
         nx, ny = _gram_norms(cx, gxx), _gram_norms(cy, gyy)
-        radii = np.maximum(nx, ny)
         try:
-            k = select_k(radii, k_method, k_fixed).k
-            return _exceedances(cx, cy, nx, ny, radii, k, gram=gxy).rho_xy, k
+            rep = _radius_fit(nx, ny, lambda idx: np.einsum("ij,ij->i", cx[idx] @ gxy, cy[idx]),
+                              k_method, k_fixed)
+            return rep.rho_xy, rep.k
         except (DegenerateSampleError, DegenerateTailError):
             return np.nan, 0
 

@@ -372,3 +372,53 @@ def test_estimate_on_arbitrary_bytes_never_exits_1(tmp_path_factory, content):
     x.write_bytes(content)
     y.write_text("1,2\n3,4\n5,6\n")
     assert main(["estimate", "--x", str(x), "--y", str(y), "--k", "1"]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("qgrid", ["nan:0.9:0.1", "0.5:inf:0.1", "0.5:0.9:1e-300",
+                                   "0.1:0.9:0", "0.1:0.9:-0.0"])
+def test_chi_bad_qgrid_exits_3_naming_it(capsys, sample_files, qgrid):
+    xp, yp = sample_files
+    code, out, err = run_cli(capsys, "chi", "--x", xp, "--y", yp, "--qgrid", qgrid)
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"].startswith(f"--qgrid {qgrid!r}")
+
+
+@pytest.mark.parametrize("command,flag", [
+    (["transform", "--alpha-source", "3", "--alpha-target", "2"], "--output"),
+    (["pairwise"], "--json"),
+    (["simulate"], "--out-y"),
+    (["experiment"], "--out-json"),
+])
+def test_unwritable_output_exits_2_naming_the_path(capsys, tmp_path, sample_files, command, flag):
+    target = str(tmp_path / "missing" / "out.txt")
+    inputs = {
+        "transform": ["--input", sample_files[0]],
+        "pairwise": ["--inputs", *sample_files],
+        "simulate": ["--alpha", "3", "--n", "30", "--J", "20", "--seed", "1",
+                     "--out-x", str(tmp_path / "sx.csv")],
+        "experiment": ["--config", str(tmp_path / "exp.cfg")],
+    }[command[0]]
+    (tmp_path / "exp.cfg").write_text(_TINY_EXPERIMENT + "seed = 3\n")
+    code, _, err = run_cli(capsys, *command, *inputs, flag, target)
+    assert code == 2
+    assert _error(err)["type"] == "ParseError"
+    assert _error(err)["message"].startswith(f"{target}: cannot write")
+
+
+def test_dash_is_stdout_on_every_output_flag(capsys, tmp_path, monkeypatch, sample_files):
+    monkeypatch.chdir(tmp_path)
+    xp, yp = sample_files
+    code, out, _ = run_cli(capsys, "simulate", "--alpha", "3", "--n", "5", "--J", "4", "--seed", "2",
+                           "--out-x", "-", "--out-y", "-")
+    assert code == 0
+    assert len(out.splitlines()) == 10
+    code, out, _ = run_cli(capsys, "pairwise", "--inputs", xp, yp, "--output", "-", "--json", "-")
+    assert code == 0
+    assert '"rho_matrix"' in out
+    (tmp_path / "exp.cfg").write_text(_TINY_EXPERIMENT + "seed = 3\n")
+    code, out, _ = run_cli(capsys, "experiment", "--config", "exp.cfg", "--out-csv", "-", "--out-json", "-")
+    assert code == 0
+    assert out.startswith("alpha,rho_xy") and '"rows"' in out
+    assert not (tmp_path / "-").exists()

@@ -283,10 +283,10 @@ def test_replicate_rho_deterministic_and_thread_invariant():
 
 
 def _grid_rho(cfg, stream, k_method, k_fixed):
-    xs, ys, nx, ny, radii = _paired(*draw_paired(np.random.default_rng(stream), cfg))
+    nx, ny, radii, inner_products = _paired(*draw_paired(np.random.default_rng(stream), cfg))
     try:
         k = select_k(radii, k_method, k_fixed).k
-        return _exceedances(xs, ys, nx, ny, radii, k).rho_xy, k
+        return _exceedances(nx, ny, radii, inner_products, k).rho_xy, k
     except (DegenerateSampleError, DegenerateTailError):
         return np.nan, 0
 
