@@ -79,11 +79,8 @@ def chi_curve(u, v, q_grid) -> ChiSeries:
     fu = _average_ranks(u_arr) / n
     fv = _average_ranks(v_arr) / n
 
-    u_exc = fu[None, :] > q[:, None]
-    v_exc = fv[None, :] > q[:, None]
-    m_v = v_exc.sum(axis=1)
-    m_u = u_exc.sum(axis=1)
-    m_joint = (u_exc & v_exc).sum(axis=1)
+    # exceedance counts #{f > q} from sorted copies: both margins exceed q exactly when their minimum does
+    m_u, m_v, m_joint = (n - np.searchsorted(np.sort(f), q, side="right") for f in (fu, fv, np.minimum(fu, fv)))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         chi = np.where(m_v > 0, m_joint / np.maximum(m_v, 1), np.nan)

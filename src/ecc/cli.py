@@ -10,8 +10,10 @@ operation to stderr and exit with 2 for parse problems and unwritable outputs,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 
 from .chi import chi_curve
 from .curves import center, norms
-from .curveio import format_curves, parse_curve_file, read_text, resample_linear, write_curve_file
+from .curveio import format_curves, parse_curve_file, read_text, resample_linear
 from .errors import DomainError, EccError, ParseError
 from .estimators import PipelineReport, estimate_pipeline, pairwise_matrix
 from .simulate import DgpConfig, ExperimentTable, bias_experiment, generate_paired, invert_oracle
@@ -36,18 +38,73 @@ _INTERNAL_EXIT = 1
 QGRID_MAX_POINTS = 10_000  # the most points a --qgrid may span, counted before any is made
 
 
-def _emit(output, path: str | None) -> None:
-    """Write a text, or a sample as a curve file, to ``path`` (None or "-": stdout); exit 2 if unwritable."""
-    if path is None or path == "-":
-        sys.stdout.write(output if isinstance(output, str) else format_curves(output))
-        return
+def _text(output) -> str:
+    return output if isinstance(output, str) else format_curves(output)
+
+
+def _staging_target(path: str) -> str | None:
+    """The file that a staged write of ``path`` replaces, or None to write ``path`` straight through.
+
+    A new path or a regular file is staged; a symlink to one stages the file
+    it resolves to, so the link stays. Any other existing target (a
+    directory, a device, a FIFO, /dev/stdout on a pipe) is not.
+    """
+    target = os.path.realpath(path)
+    if not os.path.exists(path):
+        return target
+    if os.path.isfile(path) and os.path.exists(target) and os.path.samefile(path, target):
+        return target
+    return None
+
+
+def _emit(*outputs) -> None:
+    """Write (output, path) pairs: a text, or a sample as a curve file, to ``path`` (None or "-": stdout).
+
+    Each file that ``_staging_target`` stages is written to a temporary beside
+    it, with the mode of the file it replaces, and the temporaries are moved
+    into place only once every file output is written: an unwritable output
+    (exit 2, naming its path) leaves no new or partial file behind, and no
+    temporary outlives the call. Other targets are written straight through
+    before the moves; stdout comes last.
+    """
+    staged = []  # (temporary, target, path) of each new or regular file
+    path = None
     try:
-        if isinstance(output, str):
-            Path(path).write_text(output, encoding="utf-8")
-        else:
-            write_curve_file(path, output)
+        direct = []
+        for i, (output, path) in enumerate(outputs):
+            if path is None or path == "-":
+                continue
+            target = _staging_target(path)
+            if target is None:
+                direct.append((output, path))
+                continue
+            mode = None
+            if os.path.exists(target):
+                with open(target, "a") as probe:  # fails, as writing would, on a read-only file
+                    mode = stat.S_IMODE(os.fstat(probe.fileno()).st_mode)
+            tmp = f"{target}.{os.getpid()}-{i}.tmp"  # per output: two flags may name one path, the last wins
+            with open(tmp, "x", encoding="utf-8") as fh:
+                staged.append((tmp, target, path))
+                if mode is not None:
+                    os.chmod(tmp, mode)
+                # no name keeps the text: one formatted sample at a time is alive (peak memory)
+                fh.write(_text(output))
+        for output, path in direct:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_text(output))
+        while staged:
+            tmp, target, path = staged[0]
+            os.replace(tmp, target)
+            del staged[0]
     except OSError as exc:
         raise ParseError(f"{path}: cannot write ({exc.strerror or exc})") from None
+    finally:
+        for tmp, _, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+    for output, path in outputs:
+        if path is None or path == "-":
+            sys.stdout.write(_text(output))
 
 
 def _pipeline_report_dict(rep: PipelineReport) -> dict:
@@ -109,7 +166,7 @@ def _cmd_pairwise(args) -> int:
     lines = ["," + ",".join(labels)]
     for lab, row in zip(labels, matrix):
         lines.append(lab + "," + ",".join(f"{v:.17g}" for v in row))
-    _emit("\n".join(lines) + "\n", args.output)
+    outputs = [("\n".join(lines) + "\n", args.output)]
     if args.json is not None:
         meta = {
             "schema_version": SCHEMA_VERSION,
@@ -120,7 +177,8 @@ def _cmd_pairwise(args) -> int:
                 for (a, b), rep in sorted(reports.items())
             ],
         }
-        _emit(json.dumps(meta, indent=2) + "\n", args.json)
+        outputs.append((json.dumps(meta, indent=2) + "\n", args.json))
+    _emit(*outputs)
     return 0
 
 
@@ -129,8 +187,8 @@ def _cmd_hill(args) -> int:
     values = norms(sample if args.no_center else center(sample))
     k_max = args.kmax if args.kmax is not None else values.size - 1
     series = hill_series(values, k_max)
-    _emit(_columns_csv("k,alpha,lo,hi", series.k, series.alpha_hat, series.ci_low, series.ci_high),
-          args.output)
+    _emit((_columns_csv("k,alpha,lo,hi", series.k, series.alpha_hat, series.ci_low, series.ci_high),
+           args.output))
     return 0
 
 
@@ -154,7 +212,7 @@ def _cmd_chi(args) -> int:
         x, y = center(x), center(y)
     series = chi_curve(norms(x), norms(y), _parse_qgrid(args.qgrid))
     names = ("q", "chi", "chibar", "chi_lo", "chi_hi", "chibar_lo", "chibar_hi", "raw_chibar")
-    _emit(_columns_csv(",".join(names), *(getattr(series, c) for c in names)), args.output)
+    _emit((_columns_csv(",".join(names), *(getattr(series, c) for c in names)), args.output))
     return 0
 
 
@@ -183,8 +241,7 @@ def _cmd_simulate(args) -> int:
         rho = invert_oracle(args.rho_xy, args.alpha)
     cfg = DgpConfig(rho=rho, alpha=args.alpha, n=args.n, J=args.J, seed=args.seed, **extra)
     x, y = generate_paired(cfg)
-    _emit(x, args.out_x)
-    _emit(y, args.out_y)
+    _emit((x, args.out_x), (y, args.out_y))
     return 0
 
 
@@ -251,21 +308,22 @@ def _cmd_experiment(args) -> int:
             )
             rows.extend(table.rows)
     table = ExperimentTable(rows=rows)
-    _emit(table.to_wide_csv(), args.out_csv)
+    outputs = [(table.to_wide_csv(), args.out_csv)]
     if args.out_json is not None:
-        _emit(table.to_json() + "\n", args.out_json)
+        outputs.append((table.to_json() + "\n", args.out_json))
+    _emit(*outputs)
     return 0
 
 
 def _cmd_transform(args) -> int:
     sample = parse_curve_file(args.input)
-    _emit(power_transform(sample, args.alpha_source, args.alpha_target), args.output)
+    _emit((power_transform(sample, args.alpha_source, args.alpha_target), args.output))
     return 0
 
 
 def _cmd_resample(args) -> int:
     sample = parse_curve_file(args.input)
-    _emit(resample_linear(sample, args.J), args.output)
+    _emit((resample_linear(sample, args.J), args.output))
     return 0
 
 

@@ -16,7 +16,9 @@ One pass, ``_exceedances``, computes all three. It reads a sample only through
 the margins' norms, the radii and ``inner_products(idx)``, the <x_i, y_i> of
 the exceedances, which each caller reads from its own storage: grid rows,
 transformed rows or basis scores. ``_radius_fit`` (k chosen on the radii, then
-the pass) ends both ``estimate_pipeline`` and each Monte Carlo replication.
+the pass) ends ``estimate_pipeline`` and the Monte Carlo replications of the
+fixed and KS rules; mindist replications choose k a block at a time and call
+the pass themselves.
 """
 from __future__ import annotations
 

@@ -20,14 +20,17 @@ margin on the grid, attenuating the coefficient.
 Every generator is basis scores times basis rows. ``_scores`` draws the
 scores and is the one draw order: ``draw_paired`` turns them into (n, J)
 curves on the grid, while the replications of ``replicate_rho`` never build
-curves. They hand the estimators' radius stage (``_radius_fit``) the norms
-and an exceedance inner-product reader as quadratic forms in the discrete
-Gram matrix of the basis rows (for the phase variant, of the rows and their
-delayed copies).
+curves. They keep only their norms and inner products, quadratic forms in
+the discrete Gram matrix of the basis rows (for the phase variant, of the
+rows and their delayed copies), and run in blocks: for mindist, k is chosen
+for a whole block at once (``tail._mindist_rows``) before each replication's
+exceedance pass; the other k rules run the estimators' radius stage
+(``_radius_fit``) per replication.
 
 Reproducibility: a DgpConfig is fully deterministic in its seed; the
-experiment spawns one child stream per replication from the master seed, so
-results are identical for any worker count.
+experiment spawns one child stream per replication from the master seed, and
+the blocks depend on the replication count and n only, so results are
+identical for any worker count.
 """
 from __future__ import annotations
 
@@ -39,9 +42,19 @@ import numpy as np
 
 from .curves import grid
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError
-from .estimators import _radius_fit
+from .estimators import _exceedances, _radius_fit
+from .tail import _mindist_rows
 
 VARIANTS = ("base", "bernoulli", "phase")
+
+# Replications per Monte Carlo block. Chosen on experiment_cell (n = 2000, 2 workers): larger
+# blocks ran no faster and raised its peak RSS (16 rows: +2.7 MB, past the benchmark's 5 % bound).
+_BLOCK = 8
+# The most values each of a block's (replications, n) arrays may hold: blocks shrink at large n.
+# Measured with 2 workers (2-vCPU host): at n = 2e5 (32 replications, blocks of 1) peak RSS
+# 111 MB against 234-240 MB with blocks of 8 and 135 MB one replication per task, wall time
+# 1.9 s against 2.1 s; at n = 2e4 (100 replications, blocks of 6) 54 MB against 57 MB, same time.
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -151,12 +164,15 @@ def _scores(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.nd
         b = rng.random((n, 2)) < cfg.p_b
         return np.where(a, z, nrm), np.where(b, z, nrm)
     rho = cfg.rho
-    z1 = _pareto(rng, alpha, n)
+    cx, cy = np.empty((n, 3)), np.empty((n, 3))
+    cx[:, 0] = z1 = _pareto(rng, alpha, n)
     z2 = _pareto(rng, alpha, n)
-    n1 = rng.normal(0.0, sd, n)
-    n2 = rng.normal(0.0, sd, n)
-    n3 = rng.normal(0.0, sd, n)
-    return np.column_stack([z1, n1, n2]), np.column_stack([rho * z1, np.sqrt(1.0 - rho * rho) * z2, n3])
+    cx[:, 1] = rng.normal(0.0, sd, n)
+    cx[:, 2] = rng.normal(0.0, sd, n)
+    cy[:, 2] = rng.normal(0.0, sd, n)
+    cy[:, 0] = rho * z1
+    cy[:, 1] = np.sqrt(1.0 - rho * rho) * z2
+    return cx, cy
 
 
 def draw_paired(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -323,6 +339,32 @@ def _gram_norms(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sqrt(q)
 
 
+def _fit_rows(nx, ny, ips, k_method: str, k_fixed: int | None) -> list[tuple[float, int]]:
+    """(rho_hat, k) of each replication of a block, (nan, 0) for one with degenerate data.
+
+    Row b holds a replication's norms ``nx[b]``, ``ny[b]`` and inner products
+    ``ips[b]``. mindist chooses every row's k in one ``_mindist_rows`` call
+    before each row's exceedance pass; the other rules run the radius stage
+    ``_radius_fit`` row by row.
+    """
+    if k_method == "mindist":
+        radii = np.maximum(nx, ny)
+        # select_k_mindist's Hill fit needs no repeat: a k >= 2 whose top k + 1 values tie already gives k = 0
+        ks, _, _ = _mindist_rows(np.sort(radii, axis=1)[:, ::-1], 2, None)
+    out = []
+    for b in range(len(nx)):
+        rep = None  # stays None for degenerate data, and for a mindist row with k = 0 (tied)
+        try:
+            if k_method != "mindist":
+                rep = _radius_fit(nx[b], ny[b], ips[b].__getitem__, k_method, k_fixed)
+            elif ks[b]:
+                rep = _exceedances(nx[b], ny[b], radii[b], ips[b].__getitem__, int(ks[b]))
+        except (DegenerateSampleError, DegenerateTailError):
+            pass
+        out.append((np.nan, 0) if rep is None else (rep.rho_xy, rep.k))
+    return out
+
+
 def replicate_rho(
     cfg: DgpConfig,
     reps: int,
@@ -336,9 +378,15 @@ def replicate_rho(
     Returns (rho_hats, selected_ks, failures). Each replication runs on its
     own child stream spawned from ``seed``, so the result does not depend on
     the worker count; replications that raise degenerate-data errors are
-    dropped and counted. Replications read basis scores (see the module
-    docstring), so rho_hat can differ in the last ulps from ``ecc_report`` on
-    ``draw_paired`` curves.
+    dropped and counted, and a domain error aborts the run with the error of
+    the first failing replication. Replications read basis scores (see the
+    module docstring), so rho_hat can differ in the last ulps from
+    ``ecc_report`` on ``draw_paired`` curves.
+
+    Replications run in blocks of ``_BLOCK`` (fewer at large n, see
+    ``_BLOCK_VALUES``): each draws its scores and keeps only its norms and
+    its n inner products, and the block chooses every k at once. Workers take
+    whole blocks; the blocks do not depend on the worker count.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
@@ -348,22 +396,27 @@ def replicate_rho(
     px = _basis_rows(cfg)
     py = phase_shift(px, cfg.delta) if cfg.variant == "phase" else px
     gxx, gyy, gxy = (a @ b.T / cfg.J for a, b in ((px, px), (py, py), (px, py)))
+    block = max(1, min(_BLOCK, _BLOCK_VALUES // cfg.n))
 
-    def one(i: int):
-        cx, cy = _scores(np.random.default_rng(streams[i]), cfg)
-        nx, ny = _gram_norms(cx, gxx), _gram_norms(cy, gyy)
-        try:
-            rep = _radius_fit(nx, ny, lambda idx: np.einsum("ij,ij->i", cx[idx] @ gxy, cy[idx]),
-                              k_method, k_fixed)
-            return rep.rho_xy, rep.k
-        except (DegenerateSampleError, DegenerateTailError):
-            return np.nan, 0
+    def fit_block(start: int) -> list[tuple[float, int]]:
+        nx, ny, ips = (np.empty((min(block, reps - start), cfg.n)) for _ in range(3))
+        for b, stream in enumerate(streams[start : start + block]):
+            cx, cy = _scores(np.random.default_rng(stream), cfg)
+            try:
+                nx[b], ny[b] = _gram_norms(cx, gxx), _gram_norms(cy, gyy)
+            except DomainError:
+                if b:  # an earlier replication's domain error comes first
+                    _fit_rows(nx[:b], ny[:b], ips[:b], k_method, k_fixed)
+                raise
+            ips[b] = np.einsum("ij,ij->i", cx @ gxy, cy)
+        return _fit_rows(nx, ny, ips, k_method, k_fixed)
 
+    starts = range(0, reps, block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(reps)))
+            results = [r for rows in pool.map(fit_block, starts) for r in rows]
     else:
-        results = [one(i) for i in range(reps)]
+        results = [r for start in starts for r in fit_block(start)]
 
     rho_hats = np.array([r[0] for r in results])
     ks = np.array([r[1] for r in results], dtype=float)

@@ -23,11 +23,14 @@ exceeds it, and the search returns exactly the candidate a full scan would.
 
 ``hill``, ``hill_series`` and the two k rules each validate and sort their input
 once (``_sorted_desc``), then work on that array through private kernels only;
-``select_k`` just dispatches to them.
+``select_k`` just dispatches to them. The quantile rule's kernel,
+``_mindist_rows``, takes one sample per row: the Monte Carlo harness runs it on
+blocks of replications, ``select_k_mindist`` on one row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +38,8 @@ from .errors import DegenerateTailError, DomainError
 
 # Probe columns per candidate in the lower bounds that prune the k searches.
 _PROBES = 64
+# Deviations computed at once for the mindist bounds (candidates x probe columns x rows), capping their memory.
+_BOUND_CELLS = 1 << 14
 
 K_METHODS = ("fixed", "mindist", "ks")  # the k rules of select_k
 
@@ -73,7 +78,8 @@ def _sorted_desc(values) -> np.ndarray:
 
 
 def _check_top_positive(v: np.ndarray, count: int) -> None:
-    if v.size < count or v[count - 1] <= 0:
+    """Raise unless the top ``count`` values of descending ``v`` (one sample, or one per row) are > 0."""
+    if v.shape[-1] < count or np.any(v[..., count - 1] <= 0):
         raise DomainError(f"the top {count} values must be strictly positive")
 
 
@@ -102,11 +108,16 @@ def hill(values, k: int) -> TailFit:
     return _hill_fit(_sorted_desc(values), k, "fixed")
 
 
-def _hill_log_sums(v: np.ndarray, k_max: int):
-    """log V_(1..k_max+1), k = 1..k_max and the log-sums k/alpha_hat(k); the top k_max+1 values are > 0."""
-    logs = np.log(v[: k_max + 1])
+def _hill_log_sums(vs: np.ndarray, k_max: int):
+    """log V_(1..k_max+1), k = 1..k_max and the log-sums k/alpha_hat(k), per row of descending ``vs``.
+
+    The top k_max+1 values of each row are > 0. The logs are taken a row at a
+    time: np.log of a 2-d reversed view runs another loop than of a 1-d one,
+    and the two can differ in the last ulp.
+    """
+    logs = np.stack([np.log(v[: k_max + 1]) for v in vs])
     ks = np.arange(1, k_max + 1)
-    return logs, ks, np.cumsum(logs[:-1]) - ks * logs[1:]
+    return logs, ks, np.cumsum(logs[:, :-1], axis=1) - ks * logs[:, 1:]
 
 
 def hill_series(values, k_max: int) -> HillSeries:
@@ -116,7 +127,7 @@ def hill_series(values, k_max: int) -> HillSeries:
     if not 2 <= k_max <= n - 1:
         raise DomainError(f"k_max={k_max} out of range [2, {n - 1}]")
     _check_top_positive(v, k_max + 1)
-    _, ks, log_sums = _hill_log_sums(v, k_max)
+    _, ks, (log_sums,) = _hill_log_sums(v[None, :], k_max)
     if np.any(log_sums <= 0.0):
         raise DegenerateTailError("tied top order statistics; tail index undefined for some k")
     alpha = ks / log_sums
@@ -146,44 +157,86 @@ def _prune_argmin(bounds: np.ndarray, distance) -> tuple[int, float]:
     return best_i, best_d
 
 
-def _mindist_dev(log_v, log_i, log_vk, gamma, log_k):
-    """|log V_(i) - (log V_(k+1) + gamma_k (log k - log i))|, broadcast over candidates and columns i."""
-    return np.abs(log_v - (log_vk + gamma * (log_k - log_i)))
+def _mindist_dev(log_v, log_vk, gamma, log_ratio):
+    """|log V_(i) - (log V_(k+1) + gamma_k (log k - log i))|, ``log_ratio`` = log k - log i, over candidates and columns i.
 
-
-def _mindist_search(v: np.ndarray, k_min: int, k_max: int | None) -> tuple[int, float]:
-    """The k chosen by select_k_mindist on descending finite data ``v``, and its distance.
-
-    A candidate's bound is its largest deviation over about ``_PROBES``
-    geometrically spaced columns i; only candidates whose bound can still
-    win get the full row i = 1..k_max.
+    ``gamma * log_ratio`` has the full broadcast shape; the rest runs in place on it.
     """
-    n = v.size
+    dev = gamma * log_ratio
+    dev += log_vk
+    np.subtract(log_v, dev, out=dev)
+    return np.abs(dev, out=dev)
+
+
+@lru_cache(maxsize=16)
+def _mindist_grid(k_min: int, k_max: int):
+    """Probe columns, log i (i = 1..k_max), log k (k = k_min..k_max) and log k - log i at the probes, per range."""
+    cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
+    log_i = np.log(np.arange(1, k_max + 1))
+    log_k = np.log(np.arange(k_min, k_max + 1))
+    grid = cols, log_i, log_k, log_k - log_i[cols, None]
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
+    """The k select_k_mindist picks on each row of ``vs`` (rows of descending finite data), its distance, and the bounds.
+
+    A row with tied top order statistics in its candidate range gets k = 0
+    (and distance 0). A candidate's bound is its largest deviation over about
+    ``_PROBES`` geometrically spaced columns i; the bounds of all rows are
+    taken at once. Each row then runs ``_prune_argmin`` on its bounds, which
+    computes a candidate's full row i = 1..k_max only when its bound can still
+    win; the full row of the candidate it visits first, the minimum bound, is
+    computed for all rows together.
+    """
+    rows, n = vs.shape
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
     if k_max is None:
         k_max = min(max(3, int(0.15 * n)), n - 1)
     if not (2 <= k_min < k_max <= n - 1):
         raise DomainError(f"invalid candidate range [{k_min}, {k_max}] for n={n}")
-    _check_top_positive(v, k_max + 1)
+    _check_top_positive(vs, k_max + 1)
 
-    logs, k_all, log_sums = _hill_log_sums(v, k_max)
+    logs, k_all, log_sums = _hill_log_sums(vs, k_max)
     gammas = log_sums / k_all  # 1/alpha_hat(k)
-    if np.any(gammas[k_min - 1 :] <= 0.0):
+    tied = np.any(gammas[:, k_min - 1 :] <= 0.0, axis=1)
+    cols, log_i, log_k, probe_ratio = _mindist_grid(k_min, k_max)
+    log_v, log_vk, gam = logs[:, :k_max], logs[:, k_min:], gammas[:, k_min - 1 :]
+
+    # probe columns a chunk at a time, so a chunk's deviations hold at most about _BOUND_CELLS values
+    step = max(1, _BOUND_CELLS // (rows * log_k.size))
+    bounds = np.zeros((rows, log_k.size))  # deviations are >= 0
+    for lo in range(0, cols.size, step):
+        dev = _mindist_dev(log_v[:, cols[lo : lo + step], None], log_vk[:, None, :], gam[:, None, :],
+                           probe_ratio[lo : lo + step])
+        np.maximum(bounds, dev.max(axis=1), out=bounds)
+
+    r = np.arange(rows)
+    first = np.argmin(bounds, axis=1)  # the candidate _prune_argmin visits first, evaluated for all rows at once
+    first_dists = _mindist_dev(log_v, log_vk[r, first, None], gam[r, first, None],
+                               log_k[first, None] - log_i).max(axis=1).tolist()
+    best, dists = np.zeros(rows, dtype=np.int64), np.zeros(rows)
+    for b in np.flatnonzero(~tied).tolist():
+        c0, d0 = int(first[b]), first_dists[b]
+
+        def distance(c):
+            if c == c0:
+                return d0
+            return float(_mindist_dev(log_v[b], log_vk[b, c], gam[b, c], log_k[c] - log_i).max())
+
+        best[b], dists[b] = _prune_argmin(bounds[b], distance)
+    return np.where(tied, 0, best + k_min), dists, bounds
+
+
+def _mindist_search(v: np.ndarray, k_min: int, k_max: int | None) -> tuple[int, float]:
+    """The k chosen by select_k_mindist on descending finite data ``v``, and its distance: ``_mindist_rows`` on one row."""
+    ks, dists, _ = _mindist_rows(v[None, :], k_min, k_max)
+    if not ks[0]:
         raise DegenerateTailError("tied top order statistics in the candidate range")
-
-    ks = np.arange(k_min, k_max + 1)
-    log_i = np.log(np.arange(1, k_max + 1))
-    log_v, log_vk, gam, log_k = logs[:k_max], logs[ks], gammas[ks - 1], np.log(ks)
-
-    cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64))[:, None] - 1
-    bounds = _mindist_dev(log_v[cols], log_i[cols], log_vk, gam, log_k).max(axis=0)
-
-    def distance(c):
-        return float(_mindist_dev(log_v, log_i, log_vk[c], gam[c], log_k[c]).max())
-
-    c, dist = _prune_argmin(bounds, distance)
-    return int(ks[c]), dist
+    return int(ks[0]), float(dists[0])
 
 
 def select_k_mindist(values, k_min: int = 2, k_max: int | None = None) -> TailFit:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,3 +129,46 @@ def test_shared_score_norms_have_high_chi():
     x, y = generate_shared_score(n=1000, alpha=3.0, J=50, seed=21)
     series = chi_curve(norms(x), norms(y), [0.95])
     assert series.chi[0] > 0.5
+
+
+def _matrix_counts(u, v, q):
+    """#{F_U > q}, #{F_V > q} and #{both > q} per q from (len(q), n) exceedance matrices."""
+    n = len(u)
+    fu, fv = _average_ranks(np.asarray(u, float)) / n, _average_ranks(np.asarray(v, float)) / n
+    u_exc, v_exc = fu[None, :] > q[:, None], fv[None, :] > q[:, None]
+    return u_exc.sum(axis=1), v_exc.sum(axis=1), (u_exc & v_exc).sum(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(20, 80).flatmap(lambda n: st.tuples(
+    arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 7.0])),  # heavy ties
+    arrays(np.float64, n, elements=st.floats(-5.0, 5.0)),
+    st.lists(st.floats(0.001, 0.999), min_size=1, max_size=30, unique=True).map(sorted))))
+def test_chi_curve_matches_the_exceedance_matrix_form(data):
+    u, v, q = data
+    q = np.array(q)
+    m_u, m_v, m_joint = _matrix_counts(u, v, q)
+    # the same estimator written over the matrix counts: every field bit for bit
+    n = len(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi = np.where(m_v > 0, m_joint / np.maximum(m_v, 1), np.nan)
+        raw = np.where((m_joint == 0) & (m_u > 0), -1.0, 2.0 * np.log(m_u / n) / np.log(m_joint / n) - 1.0)
+    raw = np.where((m_v == 0) | (m_u == 0), np.nan, raw)
+    series = chi_curve(u, v, q)
+    assert series.chi.tobytes() == np.where(m_v == 0, np.nan, chi).tobytes()
+    assert series.raw_chibar.tobytes() == raw.tobytes()
+
+
+def test_chi_curve_memory_does_not_grow_with_grid_times_sample():
+    # the (len(q), n) exceedance matrices took 60.3 MB here
+    rng = np.random.default_rng(5)
+    u = rng.pareto(3.0, 2000)
+    v = u + rng.pareto(3.0, 2000)
+    q = np.arange(1, 10_000) / 10_000
+    tracemalloc.start()
+    try:
+        chi_curve(u, v, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

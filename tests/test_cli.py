@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ecc
 from ecc import DgpConfig, generate_paired, parse_curve_file, write_curve_file
+from ecc.curveio import format_curves
 from ecc.cli import main
 
 
@@ -405,6 +406,91 @@ def test_unwritable_output_exits_2_naming_the_path(capsys, tmp_path, sample_file
     assert code == 2
     assert _error(err)["type"] == "ParseError"
     assert _error(err)["message"].startswith(f"{target}: cannot write")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "3", "--n", "10", "--J", "5", "--seed", "1", "--out-x", "x.csv", "--out-y", "missing/y.csv"],
+    ["simulate", "--alpha", "3", "--n", "10", "--J", "5", "--seed", "1", "--out-x", "missing/x.csv", "--out-y", "y.csv"],
+    ["simulate", "--alpha", "3", "--n", "10", "--J", "5", "--seed", "1", "--out-x", "x.csv", "--out-y", "."],
+    ["experiment", "--config", "exp.cfg", "--out-csv", "table.csv", "--out-json", "missing/t.json"],
+    ["pairwise", "--inputs", "a.csv", "b.csv", "--output", "m.csv", "--json", "missing/m.json"],
+])
+def test_failed_output_leaves_no_file_behind(capsys, tmp_path, monkeypatch, sample_files, argv):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "exp.cfg").write_text(_TINY_EXPERIMENT + "seed = 3\n")
+    for name, src in zip(("a.csv", "b.csv"), sample_files):
+        (work / name).write_bytes(Path(src).read_bytes())
+    before = sorted(p.name for p in work.iterdir())
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert _error(err)["message"].split(":")[0] in argv
+    assert sorted(p.name for p in work.iterdir()) == before
+
+
+_SIM_SMALL = ("simulate", "--alpha", "3", "--n", "6", "--J", "4", "--seed", "2")
+
+
+def _sim_small():
+    return generate_paired(DgpConfig(rho=0.0, alpha=3.0, n=6, J=4, seed=2))  # --rho-xy defaults to 0
+
+
+def test_two_flags_naming_one_file_keep_the_last_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, *_SIM_SMALL, "--out-x", "xy.csv", "--out-y", "xy.csv")
+    assert code == 0
+    assert (tmp_path / "xy.csv").read_text() == format_curves(_sim_small()[1])
+    assert [p.name for p in tmp_path.iterdir()] == ["xy.csv"]
+
+
+def test_output_through_a_symlink_replaces_its_file_and_keeps_the_link(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("real.csv").write_text("old\n")
+    os.chmod("real.csv", 0o640)
+    os.symlink("real.csv", "link.csv")
+    code, _, _ = run_cli(capsys, *_SIM_SMALL, "--out-x", "link.csv", "--out-y", "y.csv")
+    assert code == 0
+    x, _ = _sim_small()
+    assert os.readlink("link.csv") == "real.csv"
+    assert Path("real.csv").read_text() == format_curves(x)
+    assert os.stat("real.csv").st_mode & 0o777 == 0o640  # an existing file keeps its mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv", "y.csv"]
+
+
+def test_output_to_a_fifo_is_written_through(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("x.pipe")
+    reader = os.open("x.pipe", os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open; the sample fits the pipe buffer
+    try:
+        code, _, _ = run_cli(capsys, *_SIM_SMALL, "--out-x", "x.pipe", "--out-y", "y.csv")
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0
+    x, y = _sim_small()
+    assert data.decode() == format_curves(x)
+    assert Path("x.pipe").is_fifo()
+    assert Path("y.csv").read_text() == format_curves(y)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.pipe", "y.csv"]
+
+
+def test_an_error_while_formatting_leaves_no_temporary(capsys, tmp_path, monkeypatch):
+    import ecc.cli
+
+    calls = []
+
+    def fail_on_second(sample):
+        calls.append(sample)
+        if len(calls) == 2:
+            raise MemoryError
+        return format_curves(sample)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ecc.cli, "format_curves", fail_on_second)
+    code, _, _ = run_cli(capsys, *_SIM_SMALL, "--out-x", "x.csv", "--out-y", "y.csv")
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dash_is_stdout_on_every_output_flag(capsys, tmp_path, monkeypatch, sample_files):

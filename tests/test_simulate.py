@@ -23,9 +23,10 @@ from ecc import (
     replicate_rho,
     select_k,
 )
+from ecc import simulate
 from ecc.errors import DegenerateSampleError, DegenerateTailError
 from ecc.estimators import _exceedances, _paired
-from ecc.simulate import _gram_norms
+from ecc.simulate import _BLOCK, _gram_norms
 
 # frozen with mpmath at 30 digits: 0.5 / sqrt(0.25 + 0.75^1.5)
 ORACLE_HALF_ALPHA3 = 0.527187156166255
@@ -364,3 +365,96 @@ def test_phase_shift_attenuates_rho(tmp_path):
     r_base, _, _ = replicate_rho(base, reps=100, seed=11)
     r_shift, _, _ = replicate_rho(shifted, reps=100, seed=11)
     assert np.mean(r_shift) <= np.mean(r_base) + 0.02
+
+
+# --- replications in blocks ----------------------------------------------------
+
+BLOCK_CFGS = {
+    "base": DgpConfig(rho=invert_oracle(0.7, 3.0), alpha=3.0, n=200, J=20),
+    "bernoulli": DgpConfig(rho=0.0, alpha=3.0, n=200, J=20, variant="bernoulli"),
+    "phase": DgpConfig(rho=invert_oracle(0.7, 3.0), alpha=3.0, n=200, J=20, variant="phase", delta=0.3),
+    # x is zero on most rows: many replications have a zero margin on their exceedances
+    "degenerate": DgpConfig(rho=0.0, alpha=3.0, n=60, J=10, variant="bernoulli", p_a=0.03, p_b=0.6,
+                            noise_variance=0.0),
+}
+
+# sha256 of rho_hats.tobytes() and ks.tobytes(), and the failure count, of
+# replicate_rho(cfg, reps, 2026) (mindist) as computed one replication at a time,
+# before replications ran in blocks (of _BLOCK = 8)
+PINNED_BLOCK_RUNS = {
+    ("base", 1): ("f54cc742bd70f58dd751ddcf08add279e7bb441606f8289012e87beecfe9f17b",
+        "9ee2b49423e1506ec86b25b2febb317da93338f594cdcdcd1b38e3a726706de0", 0),
+    ("base", 7): ("9cd58c91fb920ed330c0404a9173fab9185f9bcb0dc348220648e0ef0143e96b",
+        "5a2f4d43ecfa52a047a776d30a06b89a6e57eaaa7baa0e541b48c5e1705ce2d4", 0),
+    ("base", 8): ("14fe72ad2bd3d0e7d174405ebde2bb2a7f0bfe943aeb020b8e75f3cea5f5c7b6",
+        "fb899400f02e803cccdd62891504b8afe93bf1f366c5c91cc55b54e15a09d6a9", 0),
+    ("base", 9): ("c29b1788962fb17b09e4ab8fa615430dcb553f451066acd63881939627ae9bd9",
+        "f2b3d7c334154e6211c2021f190129659dc3151659cd66771d76bc39a995951d", 0),
+    ("base", 19): ("f2e8bca7e484cc8a49362e7f2b2919a9e94d89304b38244e65974cdd30089759",
+        "06d6b58a0161a279831a13131132cd188e1754153057b42335e2a17fddb023d9", 0),
+    ("bernoulli", 1): ("85ce0aee2cb0105224b8d41c23d81455fdc56ba51adf59c6e8fb45a6e4058f8e",
+        "982c23c81db0b6defed5e6668a82de5eca5f39703f025e686563247efff9c832", 0),
+    ("bernoulli", 7): ("3beb76e4216b109e7d68bad24ee073a6cbdf182b68bc1599c8043950db97da26",
+        "fe581b897e77dfd6fde407a77aa4f2758794e0063f9a0c72eb475e7ee2d8b8f2", 0),
+    ("bernoulli", 8): ("ed66fe34fe6b9dc5c9527644ccc10c5a77006156c2cc3257e1b159c79154a6fb",
+        "6c2270d5d4a42fb46e585dae3b1f60c5300fd15e41b75bd671f0610c8f0f9d6a", 0),
+    ("bernoulli", 9): ("1a1338f96526f88ec5dab7604e3612bb2f0ca8e8969d05c06b1199e4f101c075",
+        "69be3f93f0b228d5228407a764f1f4344fea00418cd384d7bde2702482f36b2b", 0),
+    ("bernoulli", 19): ("75a2eb29a5113f73072e39fd43bb8750d7213bc79857be89704b0e98d24f7856",
+        "b79a2aed4677b2c531f59b18ee91f4c14120ee49fbe377088cf18a83a64dc2ed", 0),
+    ("phase", 1): ("9397eb869eef662dcd504f52a5f10269485b34f9660155b2cb6dd51d707485b7",
+        "24b1f4ef66b650ff816e519b01742ff1753733d36e1b4c3e3b52743168915b1f", 0),
+    ("phase", 7): ("b8c66e72a77745e6f1e04a4209705e1b571458fc3a9695f0f9515ba97b8ee727",
+        "3601e3e963e0f59cf8d1c1db6a99c5ec8be246469bfdb5c776fc46d044352854", 0),
+    ("phase", 8): ("2e628e1e3677a19694daf17ecc0919eb6bb216651a452639533a2985b8da3a5c",
+        "98c29b99fb311ece8602b9bce413e58608e7c9793126dad15903d2454efa1fa5", 0),
+    ("phase", 9): ("4245b803f0387e38615819a3149343151dade4e8deeeef40e8d7a4ade437c193",
+        "8ea8be73e1d0f4f45a4969f1075236cf48cf46346874f40401b870b69b17a7a8", 0),
+    ("phase", 19): ("d63a336d7f74c94e0df6ccdbefbd61ec3e390fff869b58d3a5b3a46f9042a711",
+        "6e7609f8120f071263ac0ac3a85a6ad0db485c04d203343c43d216379427d576", 0),
+    ("degenerate", 1): ("26af3146a363b86c6466e07c27bfea5594e25e7abee0e76a22380b6b9d740a4d",
+        "400c52dd5bd0047d64c0582af027b387a7938a64283d0d4f727331140cb6462c", 0),
+    ("degenerate", 7): ("becd899ebae80e626a5d348954a62ec65fa4dabfe1be461dbed0e4e52414c20e",
+        "2b2c1e888864ca7ef232347a44b07a7faf8467afa98afba8957d1718aedd5423", 3),
+    ("degenerate", 8): ("4aed8ba8885e25f32d1f023a71be33dfada928230e5171c8f7c8cf8d0b5a0053",
+        "315ee5d4d4bce05593651e08716f84ffd26972c0c5621c8631993b274d7856e5", 3),
+    ("degenerate", 9): ("428194b7e08fe4a27c333fb35e5c9512738e51481fb9d4b87a2ecdf492890bd3",
+        "f93cd83e9744af0f57071bcc6109922f72298d9cd3265a7f64ce6a0fa5cd95f4", 3),
+    ("degenerate", 19): ("fbb8c3e930f0c9111ccc7cdadf51f7e41fa8c7fa8e8000b88a41735bfb1da1a9",
+        "c77872025992b845fbd5544098c7c3bf509c31ff1479e735e2436e82377cc8f7", 8),
+}
+
+
+@pytest.mark.parametrize("reps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("name", list(BLOCK_CFGS))
+def test_replicate_rho_bits_do_not_depend_on_blocks_or_workers(name, reps):
+    sha_rho, sha_k, failures = PINNED_BLOCK_RUNS[(name, reps)]
+    for threads in (1, 2, 3):
+        rho_hats, ks, failed = replicate_rho(BLOCK_CFGS[name], reps, 2026, threads=threads)
+        assert hashlib.sha256(rho_hats.tobytes()).hexdigest() == sha_rho
+        assert hashlib.sha256(ks.tobytes()).hexdigest() == sha_k
+        assert (failed, rho_hats.size) == (failures, reps - failures)
+    if name == "degenerate" and reps > 1:
+        assert failed > 0
+
+
+@pytest.mark.parametrize("overflow,zero", [(3, 5), (5, 3), (_BLOCK + 1, _BLOCK - 2), (_BLOCK - 2, _BLOCK + 1),
+                                           (None, 2 * _BLOCK + 1)])
+def test_replicate_rho_raises_the_first_failing_replications_domain_error(monkeypatch, overflow, zero):
+    # replication `overflow` gets overflowing curve norms, replication `zero` all-zero curves
+    # (a nonpositive top radius); either aborts the run, and the earlier one's error is raised
+    draw = simulate._scores
+
+    def faulty_scores(rng, cfg):
+        i = rng.bit_generator.seed_seq.spawn_key[-1]
+        cx, cy = draw(rng, cfg)
+        if i == overflow:
+            return cx * 1e200, cy
+        return (np.zeros_like(cx), np.zeros_like(cy)) if i == zero else (cx, cy)
+
+    monkeypatch.setattr(simulate, "_scores", faulty_scores)
+    cfg = BLOCK_CFGS["degenerate"]
+    message = "curve norms overflow" if overflow is not None and overflow < zero else "the top 10 values"
+    for threads in (1, 2, 3):
+        with pytest.raises(DomainError, match=message):
+            replicate_rho(cfg, 3 * _BLOCK, 2026, threads=threads)

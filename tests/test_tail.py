@@ -21,7 +21,7 @@ from ecc import (
     select_k_mindist,
 )
 from ecc import tail
-from ecc.tail import _mindist_search, _prune_argmin
+from ecc.tail import _mindist_rows, _mindist_search, _prune_argmin
 
 
 # --- hill ---------------------------------------------------------------
@@ -331,8 +331,8 @@ def test_select_k_rejects_unknown_method_and_fixed_without_k():
 _REFERENCE_CELLS = 4_000_000  # block size of the reference scans, in matrix cells
 
 
-def _full_scan_mindist(values, k_min=2, k_max=None) -> TailFit:
-    """select_k_mindist as a block scan over every candidate and every column."""
+def _full_scan_mindist_distances(values, k_min=2, k_max=None):
+    """Every candidate k of select_k_mindist and its distance, by a block scan over every column."""
     v = np.sort(np.asarray(values, dtype=float), kind="stable")[::-1]
     n = v.size
     if n < 20:
@@ -359,6 +359,12 @@ def _full_scan_mindist(values, k_min=2, k_max=None) -> TailFit:
         kb = ks[sel]
         log_fit = logs[kb][:, None] + gam[sel, None] * (np.log(kb)[:, None] - log_i[None, :])
         dists[sel] = np.abs(logs[None, :k_max] - log_fit).max(axis=1)
+    return ks, dists
+
+
+def _full_scan_mindist(values, k_min=2, k_max=None) -> TailFit:
+    """select_k_mindist as a block scan over every candidate and every column."""
+    ks, dists = _full_scan_mindist_distances(values, k_min, k_max)
     best_k = int(ks[int(np.argmin(dists))])
     fit = hill(values, best_k)
     return TailFit(alpha_hat=fit.alpha_hat, k=best_k, threshold=fit.threshold, method="mindist")
@@ -500,6 +506,78 @@ def test_mindist_matches_full_scan(values):
 @example(_tail_sample("pareto", 20, 4.345309203548877, 0, 0))
 def test_ks_matches_full_scan(values):
     _assert_same_outcome(select_k_ks, _full_scan_ks, values)
+
+
+def _counting_prune(evaluated):
+    """_checked_prune that records, per call, how many candidates the search itself evaluates."""
+    def prune(bounds, distance):
+        seen = []
+        got = _checked_prune(bounds, lambda i: seen.append(i) or distance(i))
+        evaluated.append(len(seen) - bounds.size)  # the contract check evaluates each candidate once
+        return got
+    return prune
+
+
+def _assert_rows_match_full_scan(rows):
+    """_mindist_rows on the rows (one n) gives each row the full scan's k and distance, under bounds <= distances."""
+    vs = np.sort(rows, axis=1)[:, ::-1]
+    outcomes = []
+    for row in rows:
+        try:
+            outcomes.append(_full_scan_mindist_distances(row))
+        except EccError as exc:
+            outcomes.append(exc)
+    errors = [o for o in outcomes if isinstance(o, DomainError)]
+    if errors:  # a domain error in any row fails the batch with the first one's message
+        with pytest.raises(DomainError, match=f"^{re.escape(str(errors[0]))}$"):
+            _mindist_rows(vs, 2, None)
+        return
+    ks, dists, bounds = _mindist_rows(vs, 2, None)
+    for k, dist, bound, outcome in zip(ks, dists, bounds, outcomes):
+        if isinstance(outcome, DegenerateTailError):
+            assert k == 0
+            continue
+        cand, full = outcome
+        assert np.all(bound <= full)
+        assert (k, dist) == (cand[np.argmin(full)], full.min())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(20, 2000), st.sampled_from([1, 2, 7])).flatmap(lambda n_rows: st.lists(
+    st.builds(_tail_sample, st.sampled_from(_SHAPES), st.just(n_rows[0]), st.floats(0.5, 5.0),
+              st.integers(0, 2**32 - 1), st.integers(0, 2)),
+    min_size=n_rows[1], max_size=n_rows[1])))
+def test_mindist_rows_match_full_scan(rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tail, "_prune_argmin", _checked_prune)
+        _assert_rows_match_full_scan(np.array(rows))
+
+
+def test_hill_log_sums_of_a_block_equal_each_rows_own():
+    # np.log of a 2-d reversed view runs another loop than of a 1-d one and differs in some last ulps
+    rng = np.random.default_rng(3)
+    vs = np.sort((1 - rng.random((7, 2000))) ** (-1 / 3.0), axis=1)[:, ::-1]
+    logs, _, log_sums = tail._hill_log_sums(vs, 300)
+    for v, row_logs, row_sums in zip(vs, logs, log_sums):
+        own = np.log(np.sort(v)[::-1][:301])
+        assert row_logs.tobytes() == own.tobytes()
+        assert row_sums.tobytes() == (np.cumsum(own[:-1]) - np.arange(1, 301) * own[1:]).tobytes()
+
+
+def test_mindist_rows_search_past_the_minimum_bound_and_stay_exact():
+    # flat bodies hide the jump from the probes, and DGP radii sometimes undercut the best
+    # candidate: both leave rows whose minimum-bound candidate, evaluated for the whole
+    # block at once, does not end the search
+    cfg = DgpConfig(rho=invert_oracle(0.7, 3.0), alpha=3.0, n=2000, J=20)
+    dgp = [pair_radii(*draw_paired(np.random.default_rng(s), cfg)) for s in np.random.SeedSequence(8).spawn(8)]
+    hard = [_tail_sample("flat", 2000, 1.5, 0), _tail_sample("flat", 2000, 3.0, 0),
+            _tail_sample("rounded", 2000, 3.0, 13), _tail_sample("pareto", 2000, 1.5, 1)]
+    evaluated = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tail, "_prune_argmin", _counting_prune(evaluated))
+        _assert_rows_match_full_scan(np.array(dgp + hard))
+    assert len(evaluated) == len(dgp) + len(hard) and min(evaluated) == 1
+    assert len(hard) <= sum(e > 1 for e in evaluated) < len(evaluated)
 
 
 def _reference_hill_series(values, k_max):
