@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .chi import chi_curve
-from .curves import center, norms
-from .curveio import format_curves, parse_curve_file, read_text, resample_linear
+from .curves import _centered_norms
+from .curveio import _csv_blocks, parse_curve_file, read_text, resample_linear
 from .errors import DomainError, EccError, ParseError
 from .estimators import PipelineReport, estimate_pipeline, pairwise_matrix
 from .simulate import DgpConfig, ExperimentTable, bias_experiment, generate_paired, invert_oracle
@@ -38,8 +38,19 @@ _INTERNAL_EXIT = 1
 QGRID_MAX_POINTS = 10_000  # the most points a --qgrid may span, counted before any is made
 
 
-def _text(output) -> str:
-    return output if isinstance(output, str) else format_curves(output)
+def _write(fh, output) -> None:
+    """Write a text, or a sample as a curve file a block of rows at a time, to an open text file."""
+    fh.writelines([output] if isinstance(output, str) else _csv_blocks(output))
+
+
+def _is_stdout(path) -> bool:
+    """Whether ``path`` names stdout: None, "-", or the file that file descriptor 1 is open on."""
+    if path is None or path == "-":
+        return True
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
 
 
 def _staging_target(path: str) -> str | None:
@@ -65,14 +76,17 @@ def _emit(*outputs) -> None:
     into place only once every file output is written: an unwritable output
     (exit 2, naming its path) leaves no new or partial file behind, and no
     temporary outlives the call. Other targets are written straight through
-    before the moves; stdout comes last.
+    before the moves; stdout comes last. A path to the file stdout is open on
+    (/dev/stdout redirected to a file) is written through stdout, so what
+    else goes to that file is kept.
     """
+    to_stdout = [_is_stdout(path) for _, path in outputs]
     staged = []  # (temporary, target, path) of each new or regular file
     path = None
     try:
         direct = []
         for i, (output, path) in enumerate(outputs):
-            if path is None or path == "-":
+            if to_stdout[i]:
                 continue
             target = _staging_target(path)
             if target is None:
@@ -87,11 +101,10 @@ def _emit(*outputs) -> None:
                 staged.append((tmp, target, path))
                 if mode is not None:
                     os.chmod(tmp, mode)
-                # no name keeps the text: one formatted sample at a time is alive (peak memory)
-                fh.write(_text(output))
+                _write(fh, output)
         for output, path in direct:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_text(output))
+                _write(fh, output)
         while staged:
             tmp, target, path = staged[0]
             os.replace(tmp, target)
@@ -102,9 +115,9 @@ def _emit(*outputs) -> None:
         for tmp, _, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-    for output, path in outputs:
-        if path is None or path == "-":
-            sys.stdout.write(_text(output))
+    for (output, _), stdout in zip(outputs, to_stdout):
+        if stdout:
+            _write(sys.stdout, output)
 
 
 def _pipeline_report_dict(rep: PipelineReport) -> dict:
@@ -182,9 +195,14 @@ def _cmd_pairwise(args) -> int:
     return 0
 
 
+def _margin_norms(sample, no_center: bool) -> np.ndarray:
+    """The norms of a parsed sample's curves, about its mean curve unless ``no_center``."""
+    return _centered_norms(sample, None if no_center else sample.mean(axis=0))
+
+
 def _cmd_hill(args) -> int:
     sample = parse_curve_file(args.input)
-    values = norms(sample if args.no_center else center(sample))
+    values = _margin_norms(sample, args.no_center)
     k_max = args.kmax if args.kmax is not None else values.size - 1
     series = hill_series(values, k_max)
     _emit((_columns_csv("k,alpha,lo,hi", series.k, series.alpha_hat, series.ci_low, series.ci_high),
@@ -208,9 +226,8 @@ def _parse_qgrid(arg: str) -> np.ndarray:
 def _cmd_chi(args) -> int:
     x = parse_curve_file(args.x)
     y = parse_curve_file(args.y)
-    if not args.no_center:
-        x, y = center(x), center(y)
-    series = chi_curve(norms(x), norms(y), _parse_qgrid(args.qgrid))
+    series = chi_curve(_margin_norms(x, args.no_center), _margin_norms(y, args.no_center),
+                       _parse_qgrid(args.qgrid))
     names = ("q", "chi", "chibar", "chi_lo", "chi_hi", "chibar_lo", "chibar_hi", "raw_chibar")
     _emit((_columns_csv(",".join(names), *(getattr(series, c) for c in names)), args.output))
     return 0

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _center, _inner_products, _norms, as_sample, check_paired
+from .curves import _centered_norms, _inner_products, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
-from .transform import _power_scales, _rescaled
+from .transform import _power_scales
 
 
 @dataclass(frozen=True)
@@ -155,29 +155,32 @@ def _pipelines(
                 f"{names[0]} and {name} must share n and J, got {arrs[0].shape} vs {arr.shape}"
             )
 
+    # a margin is its parsed sample and mean curve: no centered or transformed copy is
+    # made (peak memory); the norms read row blocks and the exceedance pass its own rows
     def marginal_stage(arr, name):
+        mean = arr.mean(axis=0) if do_center else None
         with _naming(name):
-            if do_center:
-                arr = _center(arr)
-            nrm = _norms(arr)
+            nrm = _centered_norms(arr, mean)
             fit = select_k(nrm, k_method, k)
-        return arr, nrm, fit, _hill_series_or_none(nrm), name
+        return arr, mean, nrm, fit, _hill_series_or_none(nrm), name
 
-    def transformed_norms(arr, nrm, fit, name):
-        # as row factors: no transformed copy is held through the radius fit (peak memory)
+    def transformed_norms(arr, mean, nrm, fit, name):
         with _naming(name):
             factors = _power_scales(nrm, fit.alpha_hat, alpha_target)
-            return factors, _norms(_rescaled(arr, factors))
+            return factors, _centered_norms(arr, mean, factors)
+
+    def rows(arr, mean, idx):
+        return arr[idx] if mean is None else arr[idx] - mean
 
     def paired_stage(mx, my):
-        (xs, nx, tail_x, hill_x, name_x), (ys, ny, tail_y, hill_y, name_y) = mx, my
+        (xs, mean_x, nx, tail_x, hill_x, name_x), (ys, mean_y, ny, tail_y, hill_y, name_y) = mx, my
         transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
         if transformed:
-            (sx, nx), (sy, ny) = (transformed_norms(xs, nx, tail_x, name_x),
-                                  transformed_norms(ys, ny, tail_y, name_y))
+            (sx, nx), (sy, ny) = (transformed_norms(xs, mean_x, nx, tail_x, name_x),
+                                  transformed_norms(ys, mean_y, ny, tail_y, name_y))
 
         def inner_products(idx):  # of the transformed rows when the transform fired
-            xe, ye = xs[idx], ys[idx]
+            xe, ye = rows(xs, mean_x, idx), rows(ys, mean_y, idx)
             if transformed:
                 xe, ye = xe * sx[idx, None], ye * sy[idx, None]
             return _inner_products(xe, ye)

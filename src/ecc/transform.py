@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import _norms, as_sample
+from .curves import _norms, _rescaled, as_sample
 from .errors import DomainError
 
 
@@ -23,15 +23,6 @@ def _power_scales(r, alpha_source: float, alpha_target: float) -> np.ndarray:
             return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
     except FloatingPointError:
         raise DomainError("power transform factors overflow") from None
-
-
-def _rescaled(arr: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``arr`` with each curve multiplied by its factor; a product that overflows raises."""
-    try:
-        with np.errstate(over="raise"):
-            return arr * factors[:, None]
-    except FloatingPointError:
-        raise DomainError("transformed curves overflow") from None
 
 
 def power_transform(s, alpha_source: float, alpha_target: float) -> np.ndarray:

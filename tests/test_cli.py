@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import ecc
 from ecc import DgpConfig, generate_paired, parse_curve_file, write_curve_file
-from ecc.curveio import format_curves
+from ecc.curves import _row_blocks
+from ecc.curveio import _csv_blocks, format_curves
 from ecc.cli import main
 
 
@@ -475,22 +478,48 @@ def test_output_to_a_fifo_is_written_through(capsys, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.pipe", "y.csv"]
 
 
-def test_an_error_while_formatting_leaves_no_temporary(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("output,blocks", [(1, 1), (2, 0)],
+                         ids=["after-the-first-block", "after-the-first-output"])
+def test_an_error_while_streaming_an_output_leaves_no_file(capsys, tmp_path, monkeypatch, output, blocks):
+    # a MemoryError in the block writer once `blocks` blocks of output number `output` are written
     import ecc.cli
 
-    calls = []
+    calls, seen = [], []
 
-    def fail_on_second(sample):
+    def failing(sample):
         calls.append(sample)
-        if len(calls) == 2:
+        real = _csv_blocks(sample)
+        if len(calls) != output:
+            return real
+
+        def stream():
+            yield from itertools.islice(real, blocks)
+            seen.extend(sorted(p.name for p in tmp_path.iterdir()))
             raise MemoryError
-        return format_curves(sample)
+
+        return stream()
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(ecc.cli, "format_curves", fail_on_second)
-    code, _, _ = run_cli(capsys, *_SIM_SMALL, "--out-x", "x.csv", "--out-y", "y.csv")
+    monkeypatch.setattr(ecc.cli, "_csv_blocks", failing)
+    argv = ("simulate", "--alpha", "3", "--n", "400", "--J", "50", "--seed", "2")
+    assert len(_row_blocks(400, 50)) > 1
+    code, _, err = run_cli(capsys, *argv, "--out-x", "x.csv", "--out-y", "y.csv")
     assert code == 1
+    assert _error(err)["type"] == "MemoryError"
+    assert len(calls) == output
+    assert len(seen) == output and all(name.endswith(".tmp") for name in seen)  # it failed mid-stream
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dev_stdout_redirected_to_a_file_keeps_what_else_the_file_holds(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(ecc.__file__).parents[1])}
+    command = (f"{{ echo before; {shlex.quote(sys.executable)} -m ecc.cli {' '.join(_SIM_SMALL)} "
+               "--out-x /dev/stdout --out-y y.csv; echo after; } > f.txt")
+    subprocess.run(["sh", "-c", command], cwd=tmp_path, env=env, check=True)
+    x, y = _sim_small()
+    assert (tmp_path / "f.txt").read_text() == "before\n" + format_curves(x) + "after\n"
+    assert (tmp_path / "y.csv").read_text() == format_curves(y)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "y.csv"]
 
 
 def test_dash_is_stdout_on_every_output_flag(capsys, tmp_path, monkeypatch, sample_files):

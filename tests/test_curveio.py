@@ -13,6 +13,7 @@ from ecc import (
     resample_linear,
     write_curve_file,
 )
+from ecc.curves import _row_blocks
 from ecc.curveio import format_curves, parse_curve_text
 
 
@@ -167,6 +168,84 @@ def test_first_defect_in_file_order_is_reported(case):
     with pytest.raises(ParseError) as err:
         parse_curve_text(text)
     assert (err.value.row, err.value.column) == (row, column)
+
+
+# cells and line ends of the texts a line-at-a-time file read must parse as a whole-text read does
+CELLS = ["1", "-2.5", "3e2", "0x1", "x", "inf", "", " ", '"4"', '"5', '"6,7"', "1_0", "\u0663", "\xe9"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\r\r\n", "\n\n"]
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text, mostly defective, with mixed line ends, blank lines, quotes and header-like rows."""
+    rows = draw(st.lists(st.lists(st.sampled_from(CELLS), min_size=1, max_size=4), max_size=6))
+    text = "".join(",".join(row) + draw(st.sampled_from(LINE_ENDS)) for row in rows)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def valid_csv_texts(draw):
+    """A sample's CSV text with mixed line ends and blank lines, perhaps a header."""
+    sample = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
+                         elements=st.floats(-1e6, 1e6)))
+    lines = format_curves(sample, [f"t{j}" for j in range(sample.shape[1])] if draw(st.booleans()) else None)
+    lines = lines.splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", ","])))
+    return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+
+
+def _parsed(parse, *args):
+    try:
+        return parse(*args).tobytes()
+    except ParseError as exc:
+        return type(exc), str(exc), exc.row, exc.column
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(csv_texts(), valid_csv_texts()))
+@example("1,2\r3,4\r\n\r\n5,6")
+@example("1,2\n3\r4,5\n")
+@example('"a\r\nb",1\n2,3\n')
+def test_file_parse_matches_text_parse_of_the_files_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("parse") / "s.csv"
+    path.write_bytes(text.encode())
+    assert _parsed(parse_curve_file, path) == _parsed(parse_curve_text, path.read_text(encoding="utf-8"), str(path))
+
+
+@pytest.mark.parametrize("content, row, column, utf8", [
+    (b"1,2\nx,3\n\xff\n", 2, 1, False),  # a defect before the invalid UTF-8 is reported
+    (b"1,2\n3\n\xff,3\n", 2, None, False),
+    (b"1,2\n\xff,3\nx,4\n", 2, None, True),  # invalid UTF-8 before a defect is reported, with its line
+    (b"h1,h2\r\n\r\n1,2\r\n\xc3,4\r\n", 4, None, True),
+    (b"1,2\r3,4\r\xff", 3, None, True),
+])
+def test_invalid_utf8_is_reported_where_the_parser_reaches_it(tmp_path, content, row, column, utf8):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        parse_curve_file(path)
+    assert (err.value.row, err.value.column) == (row, column)
+    assert str(err.value).startswith(str(path))
+    assert ("cannot read as UTF-8 text" in str(err.value)) == utf8
+
+
+@pytest.mark.parametrize("with_header", [False, True])
+def test_file_bytes_equal_the_formatted_text_at_block_edges(tmp_path, with_header):
+    J = 50
+    B = _row_blocks(1, J)[0].stop  # rows per formatted block
+    rng = np.random.default_rng(5)
+    header = [f"t{j}" for j in range(J)] if with_header else None
+    line = ",".join(["{:.17g}"] * J) + "\n"
+    for n in (1, B - 1, B, B + 1, 3 * B + 2):
+        sample = rng.standard_normal((n, J)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+        text = format_curves(sample, header)
+        # one row template over the whole sample: the text the blocks must add up to
+        assert text == "".join(([",".join(header) + "\n"] if header else []) +
+                               [line.format(*row) for row in sample.tolist()])
+        write_curve_file(tmp_path / "s.csv", sample, header)
+        assert (tmp_path / "s.csv").read_bytes() == text.encode()
+        assert parse_curve_file(tmp_path / "s.csv").tobytes() == sample.tobytes()
 
 
 def test_format_header_length_checked():

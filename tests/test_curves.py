@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecc import (
     GridMismatchError,
@@ -13,6 +13,7 @@ from ecc import (
     norms,
     pair_radii,
 )
+from ecc.curves import _BLOCK_VALUES, _centered_norms, _norms, _rescaled, _row_blocks
 from ecc.errors import DomainError
 from ecc.simulate import basis
 
@@ -155,3 +156,36 @@ def test_long_grid_accumulation_is_stable():
     J = 1_000_000
     x = np.full(J, 1e-3)
     assert inner_product(x, x) == pytest.approx(1e-6, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 400), st.integers(0, 2**32 - 1))
+@example(3, _BLOCK_VALUES + 1, 0)  # one row per block
+@example(2 * _BLOCK_VALUES // 100 + 7, 100, 1)  # several blocks and a short last one
+@example(40, 1, 2)
+def test_blocked_norms_equal_the_whole_array_expressions_bit_for_bit(n, J, seed):
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal((n, J)) * 10.0 ** rng.uniform(-5, 5, size=(n, 1)) + rng.standard_normal(J)
+    factors = np.where(rng.random(n) < 0.1, 0.0, rng.pareto(1.5, n))
+    centered = center(arr)
+    assert _centered_norms(arr, None).tobytes() == _norms(arr).tobytes()
+    assert _centered_norms(arr, arr.mean(axis=0)).tobytes() == _norms(centered).tobytes()
+    assert (_centered_norms(arr, arr.mean(axis=0), factors).tobytes()
+            == _norms(_rescaled(centered, factors)).tobytes())
+
+
+@pytest.mark.parametrize("big_row", [0, -1])
+def test_blocked_norms_raise_on_overflow_in_any_block_without_warning(big_row):
+    arr = np.ones((3 * _BLOCK_VALUES // 10, 10))
+    assert len(_row_blocks(*arr.shape)) > 2
+    arr[big_row] = 1e160
+    factors = np.ones(arr.shape[0])
+    factors[big_row] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^curve norms overflow$"):
+            _centered_norms(arr, None)
+        with pytest.raises(DomainError, match="^curve norms overflow$"):
+            _centered_norms(arr, arr.mean(axis=0))
+        with pytest.raises(DomainError, match="^transformed curves overflow$"):
+            _centered_norms(arr, None, factors)
