@@ -52,6 +52,9 @@ COMMANDS = {
                      "bern_y.csv", "phase_x.csv", "phase_y.csv"],
     "pairwise_json": ["pairwise", "--inputs", "base_x.csv", "heavy_y.csv", "bern_x.csv",
                       "--kselect", "ks", "--output", "pairwise.csv", "--json", "pairwise.json"],
+    # mindist over the six pairwise_csv inputs: 12 of 15 pairs fire the transform; pins each pair's fit
+    "pairwise_mindist_json": ["pairwise", "--inputs", "base_x.csv", "base_y.csv", "bern_x.csv",
+                              "bern_y.csv", "phase_x.csv", "phase_y.csv", "--json", "pairwise.json"],
     "chi": ["chi", "--x", "base_x.csv", "--y", "base_y.csv"],
     "hill": ["hill", "--input", "base_x.csv", "--kmax", "60"],
     "transform": ["transform", "--input", "base_x.csv", "--alpha-source", "3",
