@@ -15,21 +15,22 @@ that interval to absorb last-ulp rounding.
 One pass, ``_exceedances``, computes all three. It reads a sample only through
 the margins' norms, the radii and ``inner_products(idx)``, the <x_i, y_i> of
 the exceedances, which each caller reads from its own storage: grid rows,
-transformed rows or basis scores. ``_radius_fit`` (k chosen on the radii, then
-the pass) ends ``estimate_pipeline`` and the Monte Carlo replications of the
-fixed and KS rules; mindist replications choose k a block at a time and call
-the pass themselves.
+transformed rows or basis scores. One radius stage, ``_radius_rows`` (k chosen
+on the radii, then the pass), ends every estimate: ``estimate_pipeline`` and
+each ``pairwise_matrix`` pair are one row of it, and a block of Monte Carlo
+replications is one call.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .curves import _centered_norms, _inner_products, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
-from .tail import HillSeries, TailFit, _check_k_method, hill_series, select_k
+from .tail import HillSeries, TailFit, _check_k_method, _mindist_k, _mindist_rows, hill_series, select_k
 from .transform import _power_scales
 
 
@@ -98,10 +99,27 @@ def _exceedances(nx, ny, radii, inner_products, k: int, rho_required: bool = Tru
     return EccReport(sum_ip / (k * r_k * r_k), rho, gamma, k, r_k, idx)
 
 
-def _radius_fit(nx, ny, inner_products, k_method: str, k: int | None) -> EccReport:
-    """The radius stage: the radii, k chosen on them by ``k_method``, then the exceedance pass."""
+def _radius_rows(nx, ny, inner_products, k_method: str, k: int | None) -> list[EccReport | EccError]:
+    """The radius stage on rows of paired samples: k chosen on each row's radii, then the exceedance pass.
+
+    Row b is one paired sample: its norms ``nx[b]``, ``ny[b]`` and its reader
+    ``inner_products[b]``. mindist chooses every row's k in one
+    ``_mindist_rows`` call; the other rules go through ``select_k`` row by
+    row. Returns each row's EccReport, or the DegenerateSampleError or
+    DegenerateTailError the row raised; a DomainError aborts the stage.
+    """
     radii = np.maximum(nx, ny)
-    return _exceedances(nx, ny, radii, inner_products, select_k(radii, k_method, k).k)
+    if k_method == "mindist":
+        # select_k_mindist's Hill fit needs no repeat: a k >= 2 whose top k + 1 values tie already gives k = 0
+        ks = _mindist_rows(np.sort(radii, axis=1)[:, ::-1], 2, None)[0]
+    out = []
+    for b, ips in enumerate(inner_products):
+        try:
+            k_b = _mindist_k(ks[b]) if k_method == "mindist" else select_k(radii[b], k_method, k).k
+            out.append(_exceedances(nx[b], ny[b], radii[b], ips, k_b))
+        except (DegenerateSampleError, DegenerateTailError) as exc:
+            out.append(exc)
+    return out
 
 
 def extremal_covariance(x, y, k: int) -> float:
@@ -164,7 +182,11 @@ def _pipelines(
             fit = select_k(nrm, k_method, k)
         return arr, mean, nrm, fit, _hill_series_or_none(nrm), name
 
-    def transformed_norms(arr, mean, nrm, fit, name):
+    margins = [marginal_stage(arr, name) for arr, name in zip(arrs, names)]
+
+    @cache  # a sample's transform factors and transformed norms, computed on the first pair that fires
+    def transformed_norms(a):
+        arr, mean, nrm, fit, _, name = margins[a]
         with _naming(name):
             factors = _power_scales(nrm, fit.alpha_hat, alpha_target)
             return factors, _centered_norms(arr, mean, factors)
@@ -172,12 +194,11 @@ def _pipelines(
     def rows(arr, mean, idx):
         return arr[idx] if mean is None else arr[idx] - mean
 
-    def paired_stage(mx, my):
-        (xs, mean_x, nx, tail_x, hill_x, name_x), (ys, mean_y, ny, tail_y, hill_y, name_y) = mx, my
+    def paired_stage(a, b):
+        (xs, mean_x, nx, tail_x, hill_x, name_x), (ys, mean_y, ny, tail_y, hill_y, name_y) = margins[a], margins[b]
         transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
         if transformed:
-            (sx, nx), (sy, ny) = (transformed_norms(xs, mean_x, nx, tail_x, name_x),
-                                  transformed_norms(ys, mean_y, ny, tail_y, name_y))
+            (sx, nx), (sy, ny) = transformed_norms(a), transformed_norms(b)
 
         def inner_products(idx):  # of the transformed rows when the transform fired
             xe, ye = rows(xs, mean_x, idx), rows(ys, mean_y, idx)
@@ -185,13 +206,14 @@ def _pipelines(
                 xe, ye = xe * sx[idx, None], ye * sy[idx, None]
             return _inner_products(xe, ye)
 
-        report = _radius_fit(nx, ny, inner_products, k_method, k)
+        with _naming(f"{name_x} and {name_y}"):
+            (report,) = _radius_rows(nx[None], ny[None], [inner_products], k_method, k)
+            if isinstance(report, EccError):
+                raise report
         return PipelineReport(report, k_method, do_center, tail_x, tail_y, hill_x, hill_y,
                               transformed, alpha_target, tau)
 
-    margins = [marginal_stage(arr, name) for arr, name in zip(arrs, names)]
-    return {(a, b): paired_stage(margins[a], margins[b])
-            for a in range(len(margins)) for b in range(a + 1, len(margins))}
+    return {(a, b): paired_stage(a, b) for a in range(len(margins)) for b in range(a + 1, len(margins))}
 
 
 def estimate_pipeline(
@@ -210,7 +232,8 @@ def estimate_pipeline(
     (pass ``k`` to fix it); (3) if the marginal indexes differ by more than
     ``tau``, power-transform both margins to ``alpha_target``; (4) choose k on
     the pair radii by the same method and compute the three estimators.
-    Errors in steps (1)-(2) name the failing margin, ``x`` or ``y``.
+    Errors in steps (1)-(3) name the failing margin, ``x`` or ``y``, and
+    errors in step (4) name the pair, ``x and y``.
 
     Hill series for both margins are attached for visual regular-variation
     checks; nothing is auto-rejected on their account.
@@ -231,8 +254,10 @@ def pairwise_matrix(samples, return_reports: bool = False, **options):
 
     ``options`` are those of ``estimate_pipeline``. Each sample's marginal
     stage (validation, centering, norms, tail fit, Hill series) runs once, and
-    its errors name the sample's index; each pair then runs only the transform
-    decision, the radius fit and the exceedance pass, so entry (a, b) equals
+    its errors name the sample's index; so do its transform factors and
+    transformed norms, computed once, on the first pair that fires. Each pair
+    then runs only the transform decision, the radius fit and the exceedance
+    pass, whose errors name both samples, so entry (a, b) equals
     ``estimate_pipeline(samples[a], samples[b], **options)`` field for field.
     The result is exactly symmetric (the radii and all sums are), so each
     pair is computed once. The diagonal is 1 by definition. With

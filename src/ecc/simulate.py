@@ -22,10 +22,9 @@ scores and is the one draw order: ``draw_paired`` turns them into (n, J)
 curves on the grid, while the replications of ``replicate_rho`` never build
 curves. They keep only their norms and inner products, quadratic forms in
 the discrete Gram matrix of the basis rows (for the phase variant, of the
-rows and their delayed copies), and run in blocks: for mindist, k is chosen
-for a whole block at once (``tail._mindist_rows``) before each replication's
-exceedance pass; the other k rules run the estimators' radius stage
-(``_radius_fit``) per replication.
+rows and their delayed copies), and run in blocks: a block is one call of the
+estimators' radius stage (``_radius_rows``), which for mindist chooses the
+whole block's k at once.
 
 Reproducibility: a DgpConfig is fully deterministic in its seed; the
 experiment spawns one child stream per replication from the master seed, and
@@ -41,9 +40,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .curves import grid
-from .errors import DegenerateSampleError, DegenerateTailError, DomainError
-from .estimators import _exceedances, _radius_fit
-from .tail import _mindist_rows
+from .errors import DomainError, EccError
+from .estimators import _radius_rows
 
 VARIANTS = ("base", "bernoulli", "phase")
 
@@ -339,32 +337,6 @@ def _gram_norms(c: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.sqrt(q)
 
 
-def _fit_rows(nx, ny, ips, k_method: str, k_fixed: int | None) -> list[tuple[float, int]]:
-    """(rho_hat, k) of each replication of a block, (nan, 0) for one with degenerate data.
-
-    Row b holds a replication's norms ``nx[b]``, ``ny[b]`` and inner products
-    ``ips[b]``. mindist chooses every row's k in one ``_mindist_rows`` call
-    before each row's exceedance pass; the other rules run the radius stage
-    ``_radius_fit`` row by row.
-    """
-    if k_method == "mindist":
-        radii = np.maximum(nx, ny)
-        # select_k_mindist's Hill fit needs no repeat: a k >= 2 whose top k + 1 values tie already gives k = 0
-        ks, _, _ = _mindist_rows(np.sort(radii, axis=1)[:, ::-1], 2, None)
-    out = []
-    for b in range(len(nx)):
-        rep = None  # stays None for degenerate data, and for a mindist row with k = 0 (tied)
-        try:
-            if k_method != "mindist":
-                rep = _radius_fit(nx[b], ny[b], ips[b].__getitem__, k_method, k_fixed)
-            elif ks[b]:
-                rep = _exceedances(nx[b], ny[b], radii[b], ips[b].__getitem__, int(ks[b]))
-        except (DegenerateSampleError, DegenerateTailError):
-            pass
-        out.append((np.nan, 0) if rep is None else (rep.rho_xy, rep.k))
-    return out
-
-
 def replicate_rho(
     cfg: DgpConfig,
     reps: int,
@@ -398,6 +370,11 @@ def replicate_rho(
     gxx, gyy, gxy = (a @ b.T / cfg.J for a, b in ((px, px), (py, py), (px, py)))
     block = max(1, min(_BLOCK, _BLOCK_VALUES // cfg.n))
 
+    def fit_rows(nx, ny, ips) -> list[tuple[float, int]]:
+        """(rho_hat, k) of each replication, (nan, 0) for one with degenerate data."""
+        reports = _radius_rows(nx, ny, [row.__getitem__ for row in ips], k_method, k_fixed)
+        return [(np.nan, 0) if isinstance(r, EccError) else (r.rho_xy, r.k) for r in reports]
+
     def fit_block(start: int) -> list[tuple[float, int]]:
         nx, ny, ips = (np.empty((min(block, reps - start), cfg.n)) for _ in range(3))
         for b, stream in enumerate(streams[start : start + block]):
@@ -406,10 +383,10 @@ def replicate_rho(
                 nx[b], ny[b] = _gram_norms(cx, gxx), _gram_norms(cy, gyy)
             except DomainError:
                 if b:  # an earlier replication's domain error comes first
-                    _fit_rows(nx[:b], ny[:b], ips[:b], k_method, k_fixed)
+                    fit_rows(nx[:b], ny[:b], ips[:b])
                 raise
             ips[b] = np.einsum("ij,ij->i", cx @ gxy, cy)
-        return _fit_rows(nx, ny, ips, k_method, k_fixed)
+        return fit_rows(nx, ny, ips)
 
     starts = range(0, reps, block)
     if threads > 1:

@@ -24,8 +24,9 @@ exceeds it, and the search returns exactly the candidate a full scan would.
 ``hill``, ``hill_series`` and the two k rules each validate and sort their input
 once (``_sorted_desc``), then work on that array through private kernels only;
 ``select_k`` just dispatches to them. The quantile rule's kernel,
-``_mindist_rows``, takes one sample per row: the Monte Carlo harness runs it on
-blocks of replications, ``select_k_mindist`` on one row.
+``_mindist_rows``, takes one sample per row: the estimators' radius stage runs
+it on all of its rows at once (a block of Monte Carlo replications, or one
+pair), ``select_k_mindist`` on one row.
 """
 from __future__ import annotations
 
@@ -184,12 +185,11 @@ def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
     """The k select_k_mindist picks on each row of ``vs`` (rows of descending finite data), its distance, and the bounds.
 
     A row with tied top order statistics in its candidate range gets k = 0
-    (and distance 0). A candidate's bound is its largest deviation over about
-    ``_PROBES`` geometrically spaced columns i; the bounds of all rows are
-    taken at once. Each row then runs ``_prune_argmin`` on its bounds, which
-    computes a candidate's full row i = 1..k_max only when its bound can still
-    win; the full row of the candidate it visits first, the minimum bound, is
-    computed for all rows together.
+    (and distance 0; ``_mindist_k`` raises for it). A candidate's bound is its
+    largest deviation over about ``_PROBES`` geometrically spaced columns i;
+    the bounds of all rows are taken at once. Each row then runs
+    ``_prune_argmin`` on its bounds, which computes a candidate's full row
+    i = 1..k_max only when its bound can still win.
     """
     rows, n = vs.shape
     if n < 20:
@@ -214,29 +214,20 @@ def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
                            probe_ratio[lo : lo + step])
         np.maximum(bounds, dev.max(axis=1), out=bounds)
 
-    r = np.arange(rows)
-    first = np.argmin(bounds, axis=1)  # the candidate _prune_argmin visits first, evaluated for all rows at once
-    first_dists = _mindist_dev(log_v, log_vk[r, first, None], gam[r, first, None],
-                               log_k[first, None] - log_i).max(axis=1).tolist()
     best, dists = np.zeros(rows, dtype=np.int64), np.zeros(rows)
     for b in np.flatnonzero(~tied).tolist():
-        c0, d0 = int(first[b]), first_dists[b]
-
         def distance(c):
-            if c == c0:
-                return d0
             return float(_mindist_dev(log_v[b], log_vk[b, c], gam[b, c], log_k[c] - log_i).max())
 
         best[b], dists[b] = _prune_argmin(bounds[b], distance)
     return np.where(tied, 0, best + k_min), dists, bounds
 
 
-def _mindist_search(v: np.ndarray, k_min: int, k_max: int | None) -> tuple[int, float]:
-    """The k chosen by select_k_mindist on descending finite data ``v``, and its distance: ``_mindist_rows`` on one row."""
-    ks, dists, _ = _mindist_rows(v[None, :], k_min, k_max)
-    if not ks[0]:
+def _mindist_k(k) -> int:
+    """A k ``_mindist_rows`` returned for a row, raising for a tied row's 0."""
+    if not k:
         raise DegenerateTailError("tied top order statistics in the candidate range")
-    return int(ks[0]), float(dists[0])
+    return int(k)
 
 
 def select_k_mindist(values, k_min: int = 2, k_max: int | None = None) -> TailFit:
@@ -251,7 +242,7 @@ def select_k_mindist(values, k_min: int = 2, k_max: int | None = None) -> TailFi
     customary scan region for this rule.
     """
     v = _sorted_desc(values)
-    return _hill_fit(v, _mindist_search(v, k_min, k_max)[0], "mindist")
+    return _hill_fit(v, _mindist_k(_mindist_rows(v[None, :], k_min, k_max)[0][0]), "mindist")
 
 
 def _ks_dev(val, a1, m, r, w):

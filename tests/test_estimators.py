@@ -3,11 +3,13 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ecc import (
     DegenerateSampleError,
+    DegenerateTailError,
     DomainError,
+    EccError,
     GridMismatchError,
     angular_dependence,
     ecc_report,
@@ -18,9 +20,11 @@ from ecc import (
     order_statistic,
     pair_radii,
     pairwise_matrix,
+    power_transform,
 )
+from ecc import estimators
 from ecc.curves import inner_products
-from ecc.simulate import DgpConfig, draw_paired, invert_oracle
+from ecc.simulate import DgpConfig, draw_paired, generate_paired, invert_oracle
 
 # scalar fixture (J = 1): radii 3, 1, 0.5
 X3 = np.array([[3.0], [1.0], [0.5]])
@@ -236,23 +240,25 @@ def test_pipeline_transform_holds_no_sample_copy_through_radius_fit(monkeypatch)
     x = rng.standard_normal((n, J)) * (rng.pareto(2.0, n)[:, None] + 1.0)
     y = rng.standard_normal((n, J)) * (rng.pareto(5.0, n)[:, None] + 1.0)
     held = []
-    select_k = estimators.select_k
+    radius_rows = estimators._radius_rows
 
-    def recording(values, method, k=None):
+    def recording(*args):
         held.append(tracemalloc.get_traced_memory()[0])
-        return select_k(values, method, k)
+        return radius_rows(*args)
 
-    monkeypatch.setattr(estimators, "select_k", recording)
+    monkeypatch.setattr(estimators, "_radius_rows", recording)
     tracemalloc.start()
     try:
+        start_fired = tracemalloc.get_traced_memory()[0]
         fired = estimate_pipeline(x, y, tau=0.0)
+        start_plain = tracemalloc.get_traced_memory()[0]
         plain = estimate_pipeline(x, y, tau=1e9)
     finally:
         tracemalloc.stop()
     assert fired.transformed and not plain.transformed
-    assert len(held) == 6  # x margin, y margin, radii; per run
-    # growth from the x-margin fit to the radius fit; two transformed copies would add 2 * x.nbytes
-    assert (held[2] - held[0]) - (held[5] - held[3]) < x.nbytes / 4
+    assert len(held) == 2  # one radius stage per run
+    # growth from the start of a run to its radius fit; two transformed copies would add 2 * x.nbytes
+    assert (held[0] - start_fired) - (held[1] - start_plain) < x.nbytes / 4
 
 
 def test_pipeline_records_marginal_fits_and_series():
@@ -466,3 +472,181 @@ def test_marginal_errors_name_the_margin():
         pairwise_matrix([x, 2.0 * x, np.zeros_like(x)])
     with pytest.raises(GridMismatchError):
         estimate_pipeline(x, x[:, :-1])
+
+
+def test_pair_stage_errors_name_the_pair():
+    rng = np.random.default_rng(0)
+    a, b, c = (rng.normal(size=(400, 10)) * (rng.pareto(3, (400, 1)) + 1) for _ in range(3))
+    c[np.argsort(norms(b))[-100:]] = 0.0  # c vanishes wherever b's radii lead
+    c *= 1e-6
+    message = "a margin is identically zero on the exceedance set$"
+    with pytest.raises(DegenerateSampleError, match=f"^sample 1 and sample 2: {message}"):
+        pairwise_matrix([a, b, c], do_center=False, k=20)
+    with pytest.raises(DegenerateSampleError, match=f"^x and y: {message}"):
+        estimate_pipeline(b, c, do_center=False, k=20)
+
+
+# --- the radius stage -----------------------------------------------------
+
+
+def _radius_stage_rows():
+    """Norms and inner products of 6 rows (n = 300): four DGP pairs, one with a tied top, one with x zero."""
+    rows = [_dgp_sample(seed=s) for s in range(4)]
+    nx, ny, ips = (np.array(v) for v in zip(*[(norms(x), norms(y), inner_products(x, y)) for x, y in rows]))
+    nx, ny, ips = (np.concatenate([v, v[:2]]) for v in (nx, ny, ips))
+    top = np.argsort(np.maximum(nx[4], ny[4]))[-50:]
+    nx[4, top] = ny[4, top] = nx[4, top].max()  # 50 tied top radii
+    nx[5] = ips[5] = 0.0  # x vanishes
+    return nx, ny, ips
+
+
+def _same_row(got, want):
+    if isinstance(want, EccError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        _assert_same(got, want)
+
+
+@pytest.mark.parametrize("k_method, k", [("mindist", None), ("ks", None), ("fixed", 30)])
+def test_radius_rows_equal_their_one_row_calls(k_method, k):
+    nx, ny, ips = _radius_stage_rows()
+    rows = estimators._radius_rows(nx, ny, [r.__getitem__ for r in ips], k_method, k)
+    assert len(rows) == len(nx)
+    for b, got in enumerate(rows):
+        (want,) = estimators._radius_rows(nx[b : b + 1], ny[b : b + 1], [ips[b].__getitem__], k_method, k)
+        _same_row(got, want)
+    assert isinstance(rows[5], DegenerateSampleError)
+    if k_method == "mindist":
+        assert isinstance(rows[4], DegenerateTailError)
+        assert str(rows[4]) == "tied top order statistics in the candidate range"
+    assert sum(isinstance(r, EccError) for r in rows[:4]) == 0
+
+
+@pytest.mark.parametrize("k_method, k", [("mindist", None), ("fixed", 30)])
+def test_radius_rows_abort_on_a_nonpositive_top_radius(k_method, k):
+    nx, ny, ips = _radius_stage_rows()
+    nx[2] = ny[2] = 0.0
+    with pytest.raises(DomainError, match="must be strictly positive"):
+        estimators._radius_rows(nx, ny, [r.__getitem__ for r in ips], k_method, k)
+
+
+def _golden_pairwise_inputs():
+    """The six curve samples of the golden corpus's pairwise commands (their CSV files parse to these bits)."""
+    rho = invert_oracle(0.6, 3.0)
+    cfgs = [DgpConfig(rho=rho, alpha=3.0, n=300, J=20, seed=11),
+            DgpConfig(rho=0.0, alpha=3.0, n=300, J=20, seed=12, variant="bernoulli"),
+            DgpConfig(rho=rho, alpha=3.0, n=300, J=20, seed=13, variant="phase", delta=0.3)]
+    return [s for cfg in cfgs for s in generate_paired(cfg)]
+
+
+def _sample_alphas(reports, m):
+    return [reports[(0, 1)].tail_x.alpha_hat] + [reports[(0, b)].tail_y.alpha_hat for b in range(1, m)]
+
+
+def _transformed_samples(monkeypatch, samples, **options):
+    """The indexes of the samples whose transform factors were computed, one per computation, and of those in a pair that fired."""
+    alpha_sources = []
+    power_scales = estimators._power_scales
+
+    def recording(r, alpha_source, alpha_target):
+        alpha_sources.append(alpha_source)
+        return power_scales(r, alpha_source, alpha_target)
+
+    monkeypatch.setattr(estimators, "_power_scales", recording)
+    reports = pairwise_matrix(samples, return_reports=True, **options)[1]
+    alphas = _sample_alphas(reports, len(samples))
+    fired = {i for (a, b), rep in reports.items() if rep.transformed for i in (a, b)}
+    return [alphas.index(alpha) for alpha in alpha_sources], fired
+
+
+def test_transform_factors_are_computed_once_per_sample(monkeypatch):
+    calls, fired = _transformed_samples(monkeypatch, _golden_pairwise_inputs())
+    assert sorted(calls) == sorted(fired) == list(range(6))  # 12 of the 15 pairs fire
+
+
+def test_a_sample_none_of_whose_pairs_fire_pays_no_transform(monkeypatch):
+    x, _ = _dgp_sample(seed=3)
+    samples = [x, np.sign(x) * np.abs(x) ** 1.5, np.sign(x) * x**2]
+    alphas = np.array(_sample_alphas(pairwise_matrix(samples, return_reports=True, tau=np.inf)[1], 3))
+    gaps = np.diff(np.sort(alphas))
+    assert np.all(gaps > 0)
+    # tau at the larger gap: only the two outer samples differ by more
+    calls, fired = _transformed_samples(monkeypatch, samples, tau=float(gaps.max()))
+    assert sorted(calls) == sorted(fired) == sorted(np.argsort(alphas)[[0, 2]].tolist())
+
+
+# --- exact metamorphic relations --------------------------------------------
+
+
+def _outcome(f, *args, **options):
+    try:
+        return f(*args, **options)
+    except EccError as exc:
+        return exc
+
+
+_metamorphic_cases = dict(n=st.integers(20, 400), seed=st.integers(0, 2**32 - 1),
+                          k_method=st.sampled_from(["mindist", "ks"]), fire=st.booleans(),
+                          do_center=st.booleans())
+
+
+def _metamorphic_pair(n, seed, fire):
+    """A DGP pair (J = 6); with ``fire`` y's tail index is halved and tau = 0, so the transform fires."""
+    x, y = draw_paired(np.random.default_rng(seed), DgpConfig(rho=0.5, alpha=3.0, n=n, J=6))
+    return (x, np.sign(y) * y**2, 0.0) if fire else (x, y, np.inf)
+
+
+def _reference_ecc(x, y, rep):
+    """ecc_report at the pipeline's k on explicitly centered and, when it fired, transformed copies."""
+    if rep.centered:
+        x, y = x - x.mean(axis=0), y - y.mean(axis=0)
+    if rep.transformed:
+        x = power_transform(x, rep.tail_x.alpha_hat, rep.alpha_target)
+        y = power_transform(y, rep.tail_y.alpha_hat, rep.alpha_target)
+    return ecc_report(x, y, rep.ecc.k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_metamorphic_cases)
+def test_pipeline_is_exactly_symmetric_in_its_margins(n, seed, k_method, fire, do_center):
+    x, y, tau = _metamorphic_pair(n, seed, fire)
+    xy = _outcome(estimate_pipeline, x, y, k_method=k_method, tau=tau, do_center=do_center)
+    yx = _outcome(estimate_pipeline, y, x, k_method=k_method, tau=tau, do_center=do_center)
+    if isinstance(xy, EccError):
+        assert type(yx) is type(xy)
+        return
+    assert xy.transformed == yx.transformed == fire
+    for f in ("k", "r_k", "sigma_xy", "rho_xy", "gamma_xy"):
+        assert getattr(xy.ecc, f) == getattr(yx.ecc, f), f
+    assert np.array_equal(xy.ecc.exceedance_indices, yx.ecc.exceedance_indices)
+    # anchored to explicit copies, since a swap of the two margins' factors is itself symmetric
+    _assert_same(xy.ecc, _reference_ecc(x, y, xy))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_metamorphic_cases)
+def test_negating_a_margin_negates_sigma_rho_and_gamma_exactly(n, seed, k_method, fire, do_center):
+    x, y, tau = _metamorphic_pair(n, seed, fire)
+    pos = _outcome(estimate_pipeline, x, y, k_method=k_method, tau=tau, do_center=do_center)
+    neg = _outcome(estimate_pipeline, x, -y, k_method=k_method, tau=tau, do_center=do_center)
+    if isinstance(pos, EccError):
+        assert type(neg) is type(pos)
+        return
+    assert neg.transformed == pos.transformed == fire
+    assert (neg.ecc.k, neg.ecc.r_k) == (pos.ecc.k, pos.ecc.r_k)
+    assert (neg.ecc.sigma_xy, neg.ecc.rho_xy, neg.ecc.gamma_xy) == (
+        -pos.ecc.sigma_xy, -pos.ecc.rho_xy, -pos.ecc.gamma_xy)
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm=st.permutations(range(4)), **_metamorphic_cases)
+def test_permuting_pairwise_inputs_permutes_the_matrix_exactly(perm, n, seed, k_method, fire, do_center):
+    x, y, tau = _metamorphic_pair(n, seed, fire)
+    samples = [x, y, np.sign(y) * np.abs(y) ** 1.5, _metamorphic_pair(n, seed + 1, False)[0]]
+    options = dict(k_method=k_method, tau=tau, do_center=do_center)
+    matrix = _outcome(pairwise_matrix, samples, **options)
+    permuted = _outcome(pairwise_matrix, [samples[i] for i in perm], **options)
+    if isinstance(matrix, EccError):
+        assert isinstance(permuted, EccError)
+        return
+    assert np.array_equal(permuted, matrix[np.ix_(perm, perm)])

@@ -21,7 +21,7 @@ from ecc import (
     select_k_mindist,
 )
 from ecc import tail
-from ecc.tail import _mindist_rows, _mindist_search, _prune_argmin
+from ecc.tail import _mindist_rows, _prune_argmin
 
 
 # --- hill ---------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_mindist_matches_brute_force():
     rng = np.random.default_rng(21)
     for _ in range(5):
         v = (1 - rng.random(80)) ** (-1 / 2.2) * (1 + 0.1 * rng.random(80))
-        k, dist = _mindist_search(np.sort(v)[::-1], 2, None)
+        (k,), (dist,), _ = _mindist_rows(np.sort(v)[::-1][None, :], 2, None)
         fit = select_k_mindist(v)
         bk, bd = _brute_force_mindist(v)
         assert fit.k == k == bk
@@ -566,8 +566,7 @@ def test_hill_log_sums_of_a_block_equal_each_rows_own():
 
 def test_mindist_rows_search_past_the_minimum_bound_and_stay_exact():
     # flat bodies hide the jump from the probes, and DGP radii sometimes undercut the best
-    # candidate: both leave rows whose minimum-bound candidate, evaluated for the whole
-    # block at once, does not end the search
+    # candidate: both leave rows whose minimum-bound candidate does not end the search
     cfg = DgpConfig(rho=invert_oracle(0.7, 3.0), alpha=3.0, n=2000, J=20)
     dgp = [pair_radii(*draw_paired(np.random.default_rng(s), cfg)) for s in np.random.SeedSequence(8).spawn(8)]
     hard = [_tail_sample("flat", 2000, 1.5, 0), _tail_sample("flat", 2000, 3.0, 0),
