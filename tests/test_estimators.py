@@ -544,7 +544,7 @@ def _sample_alphas(reports, m):
 
 
 def _transformed_samples(monkeypatch, samples, **options):
-    """The indexes of the samples whose transform factors were computed, one per computation, and of those in a pair that fired."""
+    """Which samples computed transform factors (one index per call), and the samples of the pairs that fired."""
     alpha_sources = []
     power_scales = estimators._power_scales
 
