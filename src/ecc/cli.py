@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .chi import chi_curve
-from .curves import _centered_norms
+from .curves import _centered_norms, _mean_curve
 from .curveio import _csv_blocks, parse_curve_file, read_text, resample_linear
 from .errors import DomainError, EccError, ParseError
 from .estimators import PipelineReport, estimate_pipeline, pairwise_matrix
@@ -197,7 +197,7 @@ def _cmd_pairwise(args) -> int:
 
 def _margin_norms(sample, no_center: bool) -> np.ndarray:
     """The norms of a parsed sample's curves, about its mean curve unless ``no_center``."""
-    return _centered_norms(sample, None if no_center else sample.mean(axis=0))
+    return _centered_norms(sample, None if no_center else _mean_curve(sample))
 
 
 def _cmd_hill(args) -> int:

@@ -6,7 +6,10 @@ allowed and auto-detected (``float`` rejects every cell); a data cell is a
 finite ``float`` literal of ASCII characters without ``_``. Values are written
 with 17 significant digits so a write/read round trip is bit-identical. A file
 is read a line at a time and written a block of rows at a time, so its whole
-text is never held in memory.
+text is never held in memory. Each data row is converted straight into one
+float buffer, sized by a count of the file's line ends and capped by the
+rows its bytes can hold (non-seekable input such as a pipe grows it by
+doubling), and shrunk in place at the end: a parsed sample is held once.
 """
 from __future__ import annotations
 
@@ -49,10 +52,21 @@ def _raise_bad_row(cells: list[str], width: int, row: int, source: str) -> None:
 _LINES = re.compile(r"[^\n]+\n?|\n")
 
 
-def _parse_lines(lines, source: str) -> np.ndarray:
-    """Parse CSV lines (line ends kept) into an (n, J) sample; the first defect in file order is reported."""
+# rows of the first buffer of input whose lines cannot be counted first (a pipe)
+_PIPE_ROWS = 1024
+
+
+def _parse_lines(lines, source: str, capacity: int, size: int | None = None) -> np.ndarray:
+    """Parse CSV lines (line ends kept) into an (n, J) sample; the first defect in file order is reported.
+
+    ``capacity`` (at least 1) is the row count the buffer is first made for:
+    an upper bound on the data rows where the lines could be counted. A data
+    row of J cells takes at least 2J - 1 characters, so where the input's
+    ``size`` in characters or bytes is known it caps the buffer too: blank
+    lines cannot inflate it. A full buffer doubles.
+    """
     reader = csv.reader(lines, strict=True)
-    data, row, width = [], 0, None
+    buf, n, row, width = None, 0, 0, None
     try:
         for cells in reader:
             if not any(cell.strip() for cell in cells):
@@ -68,17 +82,26 @@ def _parse_lines(lines, source: str) -> np.ndarray:
                 ok = False
             if not ok:
                 _raise_bad_row(cells, width, row, source)
-            data.append(values)
+            if buf is None:
+                if size is not None:
+                    capacity = min(capacity, size // (2 * width - 1) + 1)
+                buf = np.empty((capacity, width))
+            elif n == len(buf):
+                buf.resize((2 * n, width), refcheck=False)
+            buf[n] = values
+            n += 1
     except csv.Error as exc:
         raise ParseError(f"{source}: {exc}", row=reader.line_num) from None
-    if not data:
+    if buf is None:
         raise EmptyInputError(f"{source}: header only, no data rows" if row else f"{source}: no data rows")
-    return np.array(data)
+    # resized in place, here and above, not copied: refcheck=False is safe only because no view of buf exists yet
+    buf.resize((n, width), refcheck=False)
+    return buf
 
 
 def parse_curve_text(text: str, source: str = "<string>") -> np.ndarray:
     """Parse CSV text into an (n, J) sample; the first defect in file order is reported."""
-    return _parse_lines((m.group() for m in _LINES.finditer(text)), source)
+    return _parse_lines((m.group() for m in _LINES.finditer(text)), source, text.count("\n") + 1, len(text))
 
 
 @contextmanager
@@ -119,11 +142,28 @@ def read_text(path) -> str:
         return p.read_text(encoding="utf-8")
 
 
+def _extent(fh) -> tuple[int, int]:
+    """An upper bound on the lines ``_text_lines`` gives of a seekable binary file, and its size in bytes.
+
+    LF, CR and CRLF each end a line; a CRLF split across two blocks counts
+    twice. The file is left at its start.
+    """
+    ends = 1
+    for block in iter(lambda: fh.read(1 << 16), b""):
+        ends += block.count(b"\n")
+        if b"\r" in block:  # counting the two-byte CRLF is the slow part: only where there is a CR
+            ends += block.count(b"\r") - block.count(b"\r\n")
+    size = fh.tell()
+    fh.seek(0)
+    return ends, size
+
+
 def parse_curve_file(path) -> np.ndarray:
     """Read a curve file into an (n, J) sample, one curve per data row, a line at a time."""
     p = Path(path)
     with _reading(p), open(p, "rb") as fh:
-        return _parse_lines(_text_lines(fh, str(p)), str(p))
+        capacity, size = _extent(fh) if fh.seekable() else (_PIPE_ROWS, None)
+        return _parse_lines(_text_lines(fh, str(p)), str(p), capacity, size)
 
 
 def _csv_blocks(sample, header: list[str] | None = None):

@@ -126,6 +126,15 @@ def _centered_norms(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarra
     return out
 
 
+def _mean_curve(arr: np.ndarray) -> np.ndarray:
+    """The pointwise mean curve of a sample ``as_sample`` already returned; a sum that overflows raises."""
+    try:
+        with np.errstate(over="raise"):
+            return arr.mean(axis=0)
+    except FloatingPointError:
+        raise DomainError("the mean curve overflows") from None
+
+
 def norms(s) -> np.ndarray:
     """Row-wise norms of a sample, shape (n,)."""
     return _norms(as_sample(s))
@@ -134,7 +143,7 @@ def norms(s) -> np.ndarray:
 def center(s) -> np.ndarray:
     """Subtract the pointwise sample mean curve from every curve."""
     arr = as_sample(s)
-    return arr - arr.mean(axis=0)
+    return arr - _mean_curve(arr)
 
 
 def pair_radii(x, y) -> np.ndarray:

@@ -22,16 +22,19 @@ replications is one call.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .curves import _centered_norms, _inner_products, _norms, as_sample, check_paired
+from .curves import _centered_norms, _inner_products, _mean_curve, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, _mindist_k, _mindist_rows, hill_series, select_k
 from .transform import _power_scales
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -79,24 +82,48 @@ def _paired(x, y):
     return nx, ny, np.maximum(nx, ny), lambda idx: _inner_products(xs[idx], ys[idx])
 
 
+def _over_root(num: float, a: float, b: float) -> float:
+    """num / sqrt(a * b) for positive a and b, rounded as if a * b could not under- or overflow.
+
+    a and b are split into mantissas and powers of two, which scale exactly:
+    where a * b is a normal float the result has the plain expression's bits
+    (unless |num / sqrt(a * b)| < 2^-1022), and elsewhere the bits the plain
+    expression gives on 2^e a, 2^e b and 2^e num for an e that brings a * b
+    into range.
+    """
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    h = (ea + eb) // 2  # a * b = (ma * mb * 2^(ea + eb - 2h)) * 4^h
+    return math.ldexp(num, -h) / np.sqrt(math.ldexp(ma * mb, ea + eb - 2 * h))
+
+
 def _exceedances(nx, ny, radii, inner_products, k: int, rho_required: bool = True) -> EccReport:
-    """The exceedance pass; with ``rho_required=False`` a vanishing rho denominator gives rho_xy = nan."""
+    """The exceedance pass; with ``rho_required=False`` a vanishing rho denominator gives rho_xy = nan.
+
+    Sums that overflow, and a sigma denominator k r_k^2 that is not a normal
+    float, raise DomainError; rho is exact for any finite sums.
+    """
     r_k = order_statistic(radii, k)
     if r_k <= 0.0:
         raise DegenerateSampleError(f"fewer than k={k} pairs with a nonzero curve")
     idx = np.flatnonzero(radii >= r_k)
     ips = inner_products(idx)
-    sum_ip = float(ips.sum())
-    sum_x2 = float(np.sum(nx[idx] ** 2))
-    sum_y2 = float(np.sum(ny[idx] ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        sum_ip = float(ips.sum())
+        sum_x2 = float(np.sum(nx[idx] ** 2))
+        sum_y2 = float(np.sum(ny[idx] ** 2))
+    if not (math.isfinite(sum_ip) and math.isfinite(sum_x2) and math.isfinite(sum_y2)):
+        raise DomainError("the sums over the exceedance set overflow")
+    scale = k * r_k * r_k
+    if not _TINY <= scale < math.inf:
+        raise DomainError(f"k * r_k^2 = {scale!r} is not a normal float (r_k = {r_k!r})")
     if sum_x2 <= 0.0 or sum_y2 <= 0.0:
         if rho_required:
             raise DegenerateSampleError("a margin is identically zero on the exceedance set")
         rho = float("nan")
     else:
-        rho = float(np.clip(sum_ip / np.sqrt(sum_x2 * sum_y2), -1.0, 1.0))
+        rho = float(np.clip(_over_root(sum_ip, sum_x2, sum_y2), -1.0, 1.0))
     gamma = float(np.sum(ips / radii[idx] ** 2) / k)
-    return EccReport(sum_ip / (k * r_k * r_k), rho, gamma, k, r_k, idx)
+    return EccReport(sum_ip / scale, rho, gamma, k, r_k, idx)
 
 
 def _radius_rows(nx, ny, inner_products, k_method: str, k: int | None) -> list[EccReport | EccError]:
@@ -176,8 +203,8 @@ def _pipelines(
     # a margin is its parsed sample and mean curve: no centered or transformed copy is
     # made (peak memory); the norms read row blocks and the exceedance pass its own rows
     def marginal_stage(arr, name):
-        mean = arr.mean(axis=0) if do_center else None
         with _naming(name):
+            mean = _mean_curve(arr) if do_center else None
             nrm = _centered_norms(arr, mean)
             fit = select_k(nrm, k_method, k)
         return arr, mean, nrm, fit, _hill_series_or_none(nrm), name

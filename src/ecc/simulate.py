@@ -19,8 +19,9 @@ margin on the grid, attenuating the coefficient.
 
 Every generator is basis scores times basis rows. ``_scores`` draws the
 scores and is the one draw order: ``draw_paired`` turns them into (n, J)
-curves on the grid, while the replications of ``replicate_rho`` never build
-curves. They keep only their norms and inner products, quadratic forms in
+curves on the grid a row block at a time, so it holds the two samples plus
+one block's temporaries, while the replications of ``replicate_rho`` never
+build curves. They keep only their norms and inner products, quadratic forms in
 the discrete Gram matrix of the basis rows (for the phase variant, of the
 rows and their delayed copies), and run in blocks: a block is one call of the
 estimators' radius stage (``_radius_rows``), which for mindist chooses the
@@ -39,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .curves import grid
+from .curves import _row_blocks, grid
 from .errors import DomainError, EccError
 from .estimators import _radius_rows
 
@@ -179,11 +180,14 @@ def draw_paired(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, n
     p = _basis_rows(cfg)
     if cfg.variant == "bernoulli":
         return cx @ p, cy @ p
-    # sums of outer products, and the delay applied on the grid: `ecc simulate` files keep their bits
-    x = np.outer(cx[:, 0], p[0]) + np.outer(cx[:, 1], p[1]) + np.outer(cx[:, 2], p[2])
-    y = np.outer(cy[:, 0], p[0]) + np.outer(cy[:, 1], p[1]) + np.outer(cy[:, 2], p[2])
-    if cfg.variant == "phase":
-        y = phase_shift(y, cfg.delta)
+    # sums of outer products, and the delay applied on the grid, a row block at a time: `ecc simulate`
+    # files keep their bits, and no (n, J) temporary is made
+    x, y = np.empty((cfg.n, cfg.J)), np.empty((cfg.n, cfg.J))
+    for rows in _row_blocks(cfg.n, cfg.J):
+        for out, c in ((x, cx[rows]), (y, cy[rows])):
+            out[rows] = np.outer(c[:, 0], p[0]) + np.outer(c[:, 1], p[1]) + np.outer(c[:, 2], p[2])
+        if cfg.variant == "phase":
+            y[rows] = phase_shift(y[rows], cfg.delta)
     return x, y
 
 

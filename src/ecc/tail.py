@@ -171,11 +171,13 @@ def _mindist_dev(log_v, log_vk, gamma, log_ratio):
 
 @lru_cache(maxsize=16)
 def _mindist_grid(k_min: int, k_max: int):
-    """Probe columns, log i (i = 1..k_max), log k (k = k_min..k_max) and log k - log i at the probes, per range."""
+    """Probe columns, log i (i = 1..k_max) and log k (k = k_min..k_max), per range.
+
+    The (probes, candidates) grid of log k - log i is not cached, nor held
+    whole: at n near 2e5 it is about 14 MB per range.
+    """
     cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
-    log_i = np.log(np.arange(1, k_max + 1))
-    log_k = np.log(np.arange(k_min, k_max + 1))
-    grid = cols, log_i, log_k, log_k - log_i[cols, None]
+    grid = cols, np.log(np.arange(1, k_max + 1)), np.log(np.arange(k_min, k_max + 1))
     for a in grid:
         a.flags.writeable = False
     return grid
@@ -203,15 +205,15 @@ def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
     logs, k_all, log_sums = _hill_log_sums(vs, k_max)
     gammas = log_sums / k_all  # 1/alpha_hat(k)
     tied = np.any(gammas[:, k_min - 1 :] <= 0.0, axis=1)
-    cols, log_i, log_k, probe_ratio = _mindist_grid(k_min, k_max)
+    cols, log_i, log_k = _mindist_grid(k_min, k_max)
     log_v, log_vk, gam = logs[:, :k_max], logs[:, k_min:], gammas[:, k_min - 1 :]
 
     # probe columns a chunk at a time, so a chunk's deviations hold at most about _BOUND_CELLS values
     step = max(1, _BOUND_CELLS // (rows * log_k.size))
     bounds = np.zeros((rows, log_k.size))  # deviations are >= 0
     for lo in range(0, cols.size, step):
-        dev = _mindist_dev(log_v[:, cols[lo : lo + step], None], log_vk[:, None, :], gam[:, None, :],
-                           probe_ratio[lo : lo + step])
+        probes = cols[lo : lo + step]
+        dev = _mindist_dev(log_v[:, probes, None], log_vk[:, None, :], gam[:, None, :], log_k - log_i[probes, None])
         np.maximum(bounds, dev.max(axis=1), out=bounds)
 
     best, dists = np.zeros(rows, dtype=np.int64), np.zeros(rows)

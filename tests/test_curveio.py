@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,8 +16,9 @@ from ecc import (
     resample_linear,
     write_curve_file,
 )
+from ecc import curveio
 from ecc.curves import _row_blocks
-from ecc.curveio import format_curves, parse_curve_text
+from ecc.curveio import _LINES, _PIPE_ROWS, _parse_lines, format_curves, parse_curve_text
 
 
 def test_parse_two_rows():
@@ -197,7 +201,8 @@ def valid_csv_texts(draw):
 
 def _parsed(parse, *args):
     try:
-        return parse(*args).tobytes()
+        sample = parse(*args)
+        return sample.shape, sample.tobytes()
     except ParseError as exc:
         return type(exc), str(exc), exc.row, exc.column
 
@@ -211,6 +216,42 @@ def test_file_parse_matches_text_parse_of_the_files_text(tmp_path_factory, text)
     path = tmp_path_factory.mktemp("parse") / "s.csv"
     path.write_bytes(text.encode())
     assert _parsed(parse_curve_file, path) == _parsed(parse_curve_text, path.read_text(encoding="utf-8"), str(path))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(csv_texts(), valid_csv_texts(), defective_texts(1).map(lambda case: case[0])))
+def test_capacity_hints_below_at_and_above_the_row_count_parse_alike(text):
+    lines = _LINES.findall(text)
+    expected = _parsed(parse_curve_text, text)
+    for capacity in range(1, len(lines) + 3):  # the data rows number at most len(lines)
+        for size in (None, len(text)):
+            assert _parsed(_parse_lines, iter(lines), "<string>", capacity, size) == expected
+
+
+def test_piped_input_grows_its_buffer_and_parses_as_the_file_does(tmp_path, monkeypatch):
+    sample = np.random.default_rng(3).standard_normal((3 * _PIPE_ROWS + 1, 5))  # the buffer doubles twice
+    data = format_curves(sample, [f"t{j}" for j in range(5)]).encode()
+    (tmp_path / "s.csv").write_bytes(data)
+    from_file = parse_curve_file(tmp_path / "s.csv")
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    counted = []
+    monkeypatch.setattr(curveio, "_extent", lambda fh: counted.append(fh) or (0, 0))
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = parse_curve_file(fifo)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert not counted  # a pipe cannot be counted first
+    assert piped.shape == sample.shape
+    assert piped.tobytes() == sample.tobytes() == from_file.tobytes()
 
 
 @pytest.mark.parametrize("content, row, column, utf8", [

@@ -11,6 +11,7 @@ from ecc import (
     DomainError,
     EccError,
     GridMismatchError,
+    PipelineReport,
     angular_dependence,
     ecc_report,
     estimate_pipeline,
@@ -650,3 +651,60 @@ def test_permuting_pairwise_inputs_permutes_the_matrix_exactly(perm, n, seed, k_
         assert isinstance(permuted, EccError)
         return
     assert np.array_equal(permuted, matrix[np.ix_(perm, perm)])
+
+
+def _exactly_scalable(*arrays):
+    """Whether every square of every entry is a normal float and each array's sum of squares is finite."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return all(np.all(a * a >= np.finfo(float).tiny) and np.sum(a * a) < np.inf for a in arrays)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(20, 400), seed=st.integers(0, 2**32 - 1), e=st.integers(-1100, 1100))
+def test_power_of_two_scaling_keeps_the_bits_or_raises_a_typed_error(n, seed, e):
+    x, y, _ = _metamorphic_pair(n, seed, False)
+    k = max(2, n // 10)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        xs, ys = np.ldexp(x, e), np.ldexp(y, e)
+        centered = [a - a.mean(axis=0) for a in (xs, ys)]
+    for scaled, unscaled, inside in (
+        (_outcome(ecc_report, xs, ys, k), ecc_report(x, y, k), _exactly_scalable(xs, ys)),
+        (_outcome(estimate_pipeline, xs, ys, k=k, tau=np.inf), estimate_pipeline(x, y, k=k, tau=np.inf).ecc,
+         _exactly_scalable(xs, ys, *centered)),
+    ):
+        if isinstance(scaled, PipelineReport):
+            scaled = scaled.ecc
+        expected = (unscaled.sigma_xy, unscaled.rho_xy, unscaled.gamma_xy)
+        if inside:
+            assert (scaled.sigma_xy, scaled.rho_xy, scaled.gamma_xy) == expected
+        elif not isinstance(scaled, EccError):
+            # near the underflow edge some squares are subnormal while k r_k^2 is still normal
+            assert np.allclose((scaled.sigma_xy, scaled.rho_xy, scaled.gamma_xy), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("e", [-480, -300, 0, 250, 260, 300, 480])
+def test_rho_is_exact_where_the_product_of_the_norm_sums_under_or_overflows(e):
+    x, y = generate_paired(DgpConfig(rho=0.5, alpha=3, n=500, J=20, seed=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ecc_report(np.ldexp(x, e), np.ldexp(y, e), 20).rho_xy == 0.580377205155214
+
+
+def test_overflowing_exceedance_sums_raise_a_domain_error_naming_the_pair():
+    # every norm is finite and so is its square, but the sum of the top ten squares is not
+    rows = np.linspace(1.0, 0.9, 30)[:, None] * np.full((30, 4), 5e153)
+    with pytest.raises(DomainError, match=r"^x and y: the sums over the exceedance set overflow"):
+        estimate_pipeline(rows, rows, k=10, tau=np.inf, do_center=False)
+    with pytest.raises(DomainError, match=r"^sample 0 and sample 1: the sums"):
+        pairwise_matrix([rows, rows], k=10, tau=np.inf, do_center=False)
+
+
+def test_an_overflowing_mean_curve_raises_a_domain_error_naming_the_sample():
+    # each value and each norm is finite, but the column sums behind the mean curve are not
+    ok, big = np.random.default_rng(0).standard_normal((500, 3)), np.full((500, 3), 1e306)
+    with pytest.raises(DomainError, match=r"^x: the mean curve overflows$"):
+        estimate_pipeline(big, ok)
+    with pytest.raises(DomainError, match=r"^y: the mean curve overflows$"):
+        estimate_pipeline(ok, big)
+    with pytest.raises(DomainError, match=r"^sample 1: the mean curve overflows$"):
+        pairwise_matrix([ok, big, ok])

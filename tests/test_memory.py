@@ -1,8 +1,9 @@
-"""Memory budgets of the curve-file and pipeline paths, measured with tracemalloc.
+"""Memory budgets of the curve-file, generator and pipeline paths, measured with tracemalloc.
 
 One input is an n = 1e4, J = 100 sample (8 MB of float64). Each path holds
-its parsed arrays plus O(row block) memory: no whole-file text, formatted
-copy, or centered or transformed copy of a sample.
+its parsed or generated arrays plus O(row block) memory: no whole-file text,
+list of parsed rows, formatted copy, outer-product temporary, or centered or
+transformed copy of a sample.
 """
 from contextlib import contextmanager
 import tracemalloc
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 from ecc import DgpConfig, estimate_pipeline, generate_paired, parse_curve_file, write_curve_file
+from ecc import select_k_mindist
 from ecc.cli import _emit
 from ecc.curveio import format_curves
+from ecc.tail import _mindist_grid
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +36,47 @@ def traced_peak():
         tracemalloc.stop()
 
 
-def test_parse_curve_file_peaks_below_two_and_a_half_results(tmp_path, pair):
+def test_parse_curve_file_peaks_below_1_1_results(tmp_path, pair):
     path = tmp_path / "x.csv"
     write_curve_file(path, pair[0])
     with traced_peak() as peak:
         sample = parse_curve_file(path)
     assert sample.tobytes() == pair[0].tobytes()
-    assert peak[0] <= 2.5 * sample.nbytes
+    assert peak[0] <= 1.1 * sample.nbytes
+
+
+def test_blank_lines_do_not_inflate_the_parse_buffer(tmp_path):
+    # one row of 100 values, then 200 000 blank lines: a buffer of one row per line would be 160 MB
+    path = tmp_path / "x.csv"
+    row = np.linspace(1.0, 2.0, 100)
+    path.write_text(format_curves(row[None]) + "\n" * 200_000)
+    with traced_peak() as peak:
+        sample = parse_curve_file(path)
+    assert sample.tobytes() == row.tobytes()
+    assert peak[0] < 5 * path.stat().st_size  # a data row takes at least 199 of its bytes
+
+
+@pytest.mark.parametrize("variant", ["base", "phase"])
+def test_generate_paired_peaks_below_1_1_samples(variant):
+    cfg = DgpConfig(rho=0.5, alpha=3.0, n=10_000, J=100, seed=1, variant=variant)
+    with traced_peak() as peak:
+        x, y = generate_paired(cfg)
+    assert peak[0] < 1.1 * (x.nbytes + y.nbytes)
+
+
+def test_mindist_grid_cache_keeps_less_than_one_probe_grid():
+    _mindist_grid.cache_clear()
+    radii = np.abs(np.random.default_rng(2).standard_t(3, 40_000))
+    grid_bytes = 0
+    with traced_peak():
+        base = tracemalloc.get_traced_memory()[0]
+        for n in (20_000, 40_000):  # two distinct candidate ranges
+            select_k_mindist(radii[:n])
+            cols, _, log_k = _mindist_grid(2, int(0.15 * n))  # the default range, cached by the call
+            grid_bytes = max(grid_bytes, cols.size * log_k.nbytes)  # its (probes, candidates) grid
+        held = tracemalloc.get_traced_memory()[0] - base
+    assert _mindist_grid.cache_info().currsize == 2
+    assert held < grid_bytes
 
 
 def test_emitting_a_pair_peaks_below_one_input_above_the_arrays(tmp_path, monkeypatch, pair):
