@@ -66,7 +66,12 @@ COMMANDS = {
     "experiment_ks_t1": ["experiment", "--config", "ks.cfg", "--threads", "1"],
     "experiment_ks_t2": ["experiment", "--config", "ks.cfg", "--threads", "2",
                          "--out-csv", "experiment.csv"],
+    # base_x.csv with CRLF and with lone CR line ends: the same report as estimate_mindist
+    "estimate_crlf": ["estimate", "--x", "base_x_crlf.csv", "--y", "base_y.csv"],
+    "estimate_cr": ["estimate", "--x", "base_x_cr.csv", "--y", "base_y.csv"],
     "error_parse_exit_2": ["estimate", "--x", "missing.csv", "--y", "base_y.csv"],
+    # a CRLF header, then invalid UTF-8 on line 4: the message names the line and the byte
+    "error_invalid_utf8_exit_2": ["estimate", "--x", "bad_utf8.csv", "--y", "base_y.csv"],
     "error_domain_exit_3": ["estimate", "--x", "base_x.csv", "--y", "base_y.csv", "--tau", "-1"],
     # recorded after the fixes that made them exit 3 and 2 (both exited 1 before)
     "chi_qgrid_nan_exit_3": ["chi", "--x", "base_x.csv", "--y", "base_y.csv", "--qgrid", "nan:0.9:0.1"],
@@ -88,6 +93,10 @@ def _write_inputs(d: Path) -> None:
         write_curve_file(d / f"{name}_y.csv", y)
         if name == "base":  # a margin two tail-index units heavier: the transform fires
             write_curve_file(d / "heavy_y.csv", power_transform(y, 3.0, 1.0))
+    text = (d / "base_x.csv").read_bytes()
+    (d / "base_x_crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
+    (d / "base_x_cr.csv").write_bytes(text.replace(b"\n", b"\r"))
+    (d / "bad_utf8.csv").write_bytes(b"t1,t2\r\n1,2\r\n3,4\r\n5,\xff6\r\n")
     for rule in ("mindist", "ks"):
         (d / f"{rule}.cfg").write_text(_EXPERIMENT.format(rule))
 
