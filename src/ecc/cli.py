@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .chi import chi_curve
-from .curves import _centered_norms, _mean_curve
-from .curveio import _csv_blocks, parse_curve_file, read_text, resample_linear
+from .curveio import _csv_blocks, _reading, _text_lines, parse_curve_file, resample_linear
 from .errors import DomainError, EccError, ParseError
-from .estimators import PipelineReport, estimate_pipeline, pairwise_matrix
+from .estimators import PipelineReport, _margin_norms, estimate_pipeline, pairwise_matrix
 from .simulate import DgpConfig, ExperimentTable, bias_experiment, generate_paired, invert_oracle
 from .tail import K_METHODS, hill_series
 from .transform import power_transform
@@ -175,6 +174,8 @@ def _cmd_pairwise(args) -> int:
         raise DomainError("pairwise needs at least two input files")
     samples = [parse_curve_file(p) for p in args.inputs]
     labels = [Path(p).stem for p in args.inputs]
+    if len(set(labels)) < len(labels):  # a shared stem: each row is labelled with its path as given
+        labels = list(args.inputs)
     matrix, reports = pairwise_matrix(samples, return_reports=True, **_pipeline_kwargs(args))
     lines = ["," + ",".join(labels)]
     for lab, row in zip(labels, matrix):
@@ -195,14 +196,9 @@ def _cmd_pairwise(args) -> int:
     return 0
 
 
-def _margin_norms(sample, no_center: bool) -> np.ndarray:
-    """The norms of a parsed sample's curves, about its mean curve unless ``no_center``."""
-    return _centered_norms(sample, None if no_center else _mean_curve(sample))
-
-
 def _cmd_hill(args) -> int:
     sample = parse_curve_file(args.input)
-    values = _margin_norms(sample, args.no_center)
+    values = _margin_norms(sample, "input", not args.no_center)[1]
     k_max = args.kmax if args.kmax is not None else values.size - 1
     series = hill_series(values, k_max)
     _emit((_columns_csv("k,alpha,lo,hi", series.k, series.alpha_hat, series.ci_low, series.ci_high),
@@ -226,8 +222,8 @@ def _parse_qgrid(arg: str) -> np.ndarray:
 def _cmd_chi(args) -> int:
     x = parse_curve_file(args.x)
     y = parse_curve_file(args.y)
-    series = chi_curve(_margin_norms(x, args.no_center), _margin_norms(y, args.no_center),
-                       _parse_qgrid(args.qgrid))
+    center = not args.no_center
+    series = chi_curve(_margin_norms(x, "x", center)[1], _margin_norms(y, "y", center)[1], _parse_qgrid(args.qgrid))
     names = ("q", "chi", "chibar", "chi_lo", "chi_hi", "chibar_lo", "chibar_hi", "raw_chibar")
     _emit((_columns_csv(",".join(names), *(getattr(series, c) for c in names)), args.output))
     return 0
@@ -264,14 +260,15 @@ def _cmd_simulate(args) -> int:
 
 def _parse_config(path: str) -> dict:
     cfg: dict[str, str] = {}
-    for i, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: expected key = value", row=i)
-        key, value = (part.strip() for part in line.split("=", 1))
-        cfg[key.lower()] = value
+    with _reading(path) as text:
+        for i, raw in enumerate(_text_lines(text, path), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ParseError(f"{path}: expected key = value", row=i)
+            key, value = (part.strip() for part in line.split("=", 1))
+            cfg[key.lower()] = value
     return cfg
 
 

@@ -5,8 +5,9 @@ column, comma delimiter, period decimals, UTF-8. A single header row is
 allowed and auto-detected (``float`` rejects every cell); a data cell is a
 finite ``float`` literal of ASCII characters without ``_``. Values are written
 with 17 significant digits so a write/read round trip is bit-identical. A file
-is read a line at a time and written a block of rows at a time, so its whole
-text is never held in memory. Each data row is converted straight into one
+is read a line at a time through Python's text layer (``_reading``, which
+config files go through too) and written a block of rows at a time, so its
+whole text is never held in memory. Each data row is converted straight into one
 float buffer, sized by a count of the file's line ends and capped by the
 rows its bytes can hold (non-seekable input such as a pipe grows it by
 doubling), and shrunk in place at the end: a parsed sample is held once.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -46,10 +46,6 @@ def _raise_bad_row(cells: list[str], width: int, row: int, source: str) -> None:
         if value is None or not math.isfinite(value):
             kind = "non-numeric" if value is None else "non-finite"
             raise ParseError(f"{source}: {kind} cell {cell!r}", row=row, column=col)
-
-
-# the lines io.StringIO(text) would yield, without its four-bytes-per-character copy
-_LINES = re.compile(r"[^\n]+\n?|\n")
 
 
 # rows of the first buffer of input whose lines cannot be counted first (a pipe)
@@ -99,47 +95,35 @@ def _parse_lines(lines, source: str, capacity: int, size: int | None = None) -> 
     return buf
 
 
-def parse_curve_text(text: str, source: str = "<string>") -> np.ndarray:
-    """Parse CSV text into an (n, J) sample; the first defect in file order is reported."""
-    return _parse_lines((m.group() for m in _LINES.finditer(text)), source, text.count("\n") + 1, len(text))
-
-
 @contextmanager
-def _reading(path: Path):
-    """Turn a file that cannot be opened, read or decoded into a ParseError naming it."""
+def _reading(path):
+    """Open a file as UTF-8 text with universal newlines, invalid bytes passed on for ``_text_lines`` to report.
+
+    A file that cannot be opened or read is a ParseError naming it.
+    """
+    p = Path(path)
     try:
-        yield
+        with open(p, encoding="utf-8", errors="surrogateescape") as text:
+            yield text
     except FileNotFoundError:
-        raise ParseError(f"{path}: file not found") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: cannot read as UTF-8 text ({exc})") from None
+        raise ParseError(f"{p}: file not found") from None
+    except OSError as exc:
+        raise ParseError(f"{p}: cannot read as UTF-8 text ({exc})") from None
 
 
-def _text_lines(fh, source: str):
-    """The lines text mode gives (UTF-8, universal newlines) of a binary file, decoded one at a time.
+def _text_lines(text, source: str):
+    """The lines of a file ``_reading`` opened, read one at a time and each checked to be UTF-8.
 
     A line that is not UTF-8 is a ParseError naming it, raised when the
-    parser reaches it.
+    reader reaches it.
     """
-    line_num = 0
-    for raw in fh:
-        lines = (raw,)
-        if b"\r" in raw:  # \r\n and a lone \r end a line too, both read as \n
-            lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").splitlines(keepends=True)
-        for line in lines:
-            line_num += 1
+    for row, line in enumerate(text, start=1):
+        if not line.isascii():  # invalid bytes came through as surrogates: decode them strictly
             try:
-                text = line.decode("utf-8")
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ParseError(f"{source}: cannot read as UTF-8 text ({exc})", row=line_num) from None
-            yield text
-
-
-def read_text(path) -> str:
-    """Read a UTF-8 text file; a file that cannot be read or decoded is a ParseError."""
-    p = Path(path)
-    with _reading(p):
-        return p.read_text(encoding="utf-8")
+                raise ParseError(f"{source}: cannot read as UTF-8 text ({exc})", row=row) from None
+        yield line
 
 
 def _extent(fh) -> tuple[int, int]:
@@ -160,10 +144,11 @@ def _extent(fh) -> tuple[int, int]:
 
 def parse_curve_file(path) -> np.ndarray:
     """Read a curve file into an (n, J) sample, one curve per data row, a line at a time."""
-    p = Path(path)
-    with _reading(p), open(p, "rb") as fh:
-        capacity, size = _extent(fh) if fh.seekable() else (_PIPE_ROWS, None)
-        return _parse_lines(_text_lines(fh, str(p)), str(p), capacity, size)
+    source = str(Path(path))
+    with _reading(path) as text:
+        # the count reads the binary file under the text layer, which has read nothing yet
+        capacity, size = _extent(text.buffer) if text.seekable() else (_PIPE_ROWS, None)
+        return _parse_lines(_text_lines(text, source), source, capacity, size)
 
 
 def _csv_blocks(sample, header: list[str] | None = None):

@@ -178,6 +178,16 @@ def _naming(name: str):
         raise type(exc)(f"{name}: {exc}").with_traceback(exc.__traceback__) from None
 
 
+def _margin_norms(arr, name: str, do_center: bool):
+    """A validated sample's mean curve (None unless ``do_center``) and its curves' norms about it.
+
+    Errors name the margin ``name``.
+    """
+    with _naming(name):
+        mean = _mean_curve(arr) if do_center else None
+        return mean, _centered_norms(arr, mean)
+
+
 def _pipelines(
     samples, names, k=None, k_method="mindist", alpha_target=3.0, tau=0.5, do_center=True
 ) -> dict[tuple[int, int], PipelineReport]:
@@ -203,9 +213,8 @@ def _pipelines(
     # a margin is its parsed sample and mean curve: no centered or transformed copy is
     # made (peak memory); the norms read row blocks and the exceedance pass its own rows
     def marginal_stage(arr, name):
+        mean, nrm = _margin_norms(arr, name, do_center)
         with _naming(name):
-            mean = _mean_curve(arr) if do_center else None
-            nrm = _centered_norms(arr, mean)
             fit = select_k(nrm, k_method, k)
         return arr, mean, nrm, fit, _hill_series_or_none(nrm), name
 

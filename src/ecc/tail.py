@@ -31,7 +31,6 @@ pair), ``select_k_mindist`` on one row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,20 +168,6 @@ def _mindist_dev(log_v, log_vk, gamma, log_ratio):
     return np.abs(dev, out=dev)
 
 
-@lru_cache(maxsize=16)
-def _mindist_grid(k_min: int, k_max: int):
-    """Probe columns, log i (i = 1..k_max) and log k (k = k_min..k_max), per range.
-
-    The (probes, candidates) grid of log k - log i is not cached, nor held
-    whole: at n near 2e5 it is about 14 MB per range.
-    """
-    cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
-    grid = cols, np.log(np.arange(1, k_max + 1)), np.log(np.arange(k_min, k_max + 1))
-    for a in grid:
-        a.flags.writeable = False
-    return grid
-
-
 def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
     """The k select_k_mindist picks on each row of ``vs`` (rows of descending finite data), its distance, and the bounds.
 
@@ -205,7 +190,8 @@ def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
     logs, k_all, log_sums = _hill_log_sums(vs, k_max)
     gammas = log_sums / k_all  # 1/alpha_hat(k)
     tied = np.any(gammas[:, k_min - 1 :] <= 0.0, axis=1)
-    cols, log_i, log_k = _mindist_grid(k_min, k_max)
+    cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
+    log_i, log_k = np.log(np.arange(1, k_max + 1)), np.log(np.arange(k_min, k_max + 1))
     log_v, log_vk, gam = logs[:, :k_max], logs[:, k_min:], gammas[:, k_min - 1 :]
 
     # probe columns a chunk at a time, so a chunk's deviations hold at most about _BOUND_CELLS values

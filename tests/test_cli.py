@@ -101,6 +101,22 @@ def test_estimate_overflowing_norms_exit_3(capsys, tmp_path, sample_files):
     assert _error(err)["message"] == "x: curve norms overflow"
 
 
+@pytest.mark.parametrize("no_center, message", [([], "the mean curve overflows"),
+                                                 (["--no-center"], "curve norms overflow")])
+@pytest.mark.parametrize("argv, name", [
+    (["chi", "--x", "x.csv", "--y", "big.csv"], "y"),
+    (["chi", "--x", "big.csv", "--y", "y.csv"], "x"),
+    (["hill", "--input", "big.csv"], "input"),
+])
+def test_chi_and_hill_overflows_name_the_margin(capsys, tmp_path, monkeypatch, sample_files, argv, name,
+                                                no_center, message):
+    monkeypatch.chdir(tmp_path)
+    write_curve_file("big.csv", np.full((120, 40), 1e307))  # its column sums and squares overflow
+    code, _, err = run_cli(capsys, *argv, *no_center)
+    assert code == 3
+    assert _error(err)["message"] == f"{name}: {message}"
+
+
 def test_cli_import_loads_no_scipy():
     # the runtime dependency is numpy only; importing SciPy would cost every command about a second
     probe = "import sys, ecc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -125,6 +141,20 @@ def test_pairwise_matrix_csv(capsys, tmp_path, sample_files):
     meta = json.loads(meta_path.read_text())
     assert meta["labels"] == ["x", "y"]
     assert meta["pairs"][0]["k"] == 15
+
+
+def test_pairwise_inputs_sharing_a_stem_are_labelled_by_their_paths(capsys, tmp_path, sample_files, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for d, src in (("a", sample_files[0]), ("b", sample_files[1])):
+        os.mkdir(d)
+        os.link(src, Path(d) / "s.csv")
+    code, out, _ = run_cli(capsys, "pairwise", "--inputs", "a/s.csv", "b/s.csv", "--k", "15",
+                           "--json", "meta.json")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()] == ["", "a/s.csv", "b/s.csv"]
+    meta = json.loads(Path("meta.json").read_text())
+    assert meta["labels"] == ["a/s.csv", "b/s.csv"]
+    assert (meta["pairs"][0]["a"], meta["pairs"][0]["b"]) == ("a/s.csv", "b/s.csv")
 
 
 def test_hill_series_csv(capsys, sample_files):
@@ -337,6 +367,29 @@ def test_experiment_unreadable_config_exits_2(capsys, tmp_path):
     assert _error(err)["type"] == "ParseError"
     code, _, _ = run_cli(capsys, "experiment", "--config", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("content, row", [
+    (b"rho_xy = 0.5\nalpha = \xff3\n", 2),
+    (b"rho_xy = 0.5\r\n# \xc3\xa9t\xc3\xa9\r\nalpha = 3\r\n\xc3\r\n", 4),  # valid UTF-8 on line 2
+])
+def test_experiment_invalid_utf8_config_names_its_line(capsys, tmp_path, content, row):
+    config = tmp_path / "exp.cfg"
+    config.write_bytes(content)
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 2
+    assert _error(err)["message"].startswith(f"{config}: cannot read as UTF-8 text ('utf-8' codec")
+    assert _error(err)["message"].endswith(f"(row {row})")
+
+
+def test_experiment_config_lines_end_only_at_line_ends(capsys, tmp_path):
+    # str.splitlines would also split at form feeds and U+2028, making "alpha = 3" a line of its own
+    config = tmp_path / "exp.cfg"
+    config.write_text(_TINY_EXPERIMENT.replace("alpha = 3", "# note\x0c alpha = 4 \u2028alpha = 3") + "seed = 3\n",
+                      encoding="utf-8")
+    code, _, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert code == 2
+    assert _error(err)["message"] == "experiment config is missing required key 'alpha'"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 import os
+import tempfile
 import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,43 +21,64 @@ from ecc import (
 )
 from ecc import curveio
 from ecc.curves import _row_blocks
-from ecc.curveio import _LINES, _PIPE_ROWS, _parse_lines, format_curves, parse_curve_text
+from ecc.curveio import _PIPE_ROWS, _extent, _parse_lines, _reading, _text_lines, format_curves
+
+
+@contextmanager
+def file_of(data: bytes):
+    """The path of a temporary file holding ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        path.write_bytes(data)
+        yield path
+
+
+def parse_text(text: str):
+    """Parse CSV text the way every caller does: from a file holding its UTF-8 bytes."""
+    with file_of(text.encode()) as path:
+        return parse_curve_file(path)
+
+
+def read_lines(data: bytes) -> list[str]:
+    """The lines the reader yields of a file holding ``data``."""
+    with file_of(data) as path, _reading(path) as text:
+        return list(_text_lines(text, "<bytes>"))
 
 
 def test_parse_two_rows():
-    sample = parse_curve_text("1,2\n3,4\n")
+    sample = parse_text("1,2\n3,4\n")
     assert sample.shape == (2, 2)
     assert np.array_equal(sample, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_parse_header_detected():
-    sample = parse_curve_text("t1,t2\n1,2\n3,4\n")
+    sample = parse_text("t1,t2\n1,2\n3,4\n")
     assert sample.shape == (2, 2)
 
 
 def test_parse_ragged_row_reports_row_number():
     with pytest.raises(ParseError) as err:
-        parse_curve_text("1,2\n3\n")
+        parse_text("1,2\n3\n")
     assert err.value.row == 2
 
 
 def test_parse_non_numeric_cell_reports_position():
     with pytest.raises(ParseError) as err:
-        parse_curve_text("1,2\n3,x\n")
+        parse_text("1,2\n3,x\n")
     assert err.value.row == 2
     assert err.value.column == 2
 
 
 def test_parse_mixed_first_row_rejected():
     with pytest.raises(ParseError):
-        parse_curve_text("a,2\n3,4\n")
+        parse_text("a,2\n3,4\n")
 
 
 def test_parse_non_finite_rejected():
     with pytest.raises(ParseError):
-        parse_curve_text("1,nan\n")
+        parse_text("1,nan\n")
     with pytest.raises(ParseError):
-        parse_curve_text("1,inf\n")
+        parse_text("1,inf\n")
 
 
 @pytest.mark.parametrize(
@@ -69,15 +93,15 @@ def test_parse_non_finite_rejected():
 )
 def test_parse_strict_cells_and_quotes(text, row, column):
     with pytest.raises(ParseError) as err:
-        parse_curve_text(text)
+        parse_text(text)
     assert (err.value.row, err.value.column) == (row, column)
 
 
 def test_parse_empty_file():
     with pytest.raises(EmptyInputError):
-        parse_curve_text("")
+        parse_text("")
     with pytest.raises(EmptyInputError):
-        parse_curve_text("h1,h2\n")
+        parse_text("h1,h2\n")
 
 
 def test_parse_missing_file():
@@ -86,9 +110,10 @@ def test_parse_missing_file():
 
 
 def test_parse_csv_reader_error_is_parse_error():
-    # a bare carriage return inside an unquoted field makes the csv module raise csv.Error
-    with pytest.raises(ParseError, match="row 2"):
-        parse_curve_text("1,2\n3\r4,5\n")
+    # text after a closing quote makes the strict csv module raise csv.Error
+    with pytest.raises(ParseError, match="row 2") as err:
+        parse_text('1,2\n"3"x,4\n')
+    assert "',' expected after '\"'" in str(err.value)
 
 
 def test_unreadable_files_are_parse_errors(tmp_path):
@@ -129,7 +154,7 @@ finite_samples = arrays(
 @example(np.array([[-0.0, 2.2250738585072014e-308, -1.7976931348623157e308]]), False)
 def test_format_parse_round_trip_is_bit_identical(sample, with_header):
     header = [f"t{j}" for j in range(sample.shape[1])] if with_header else None
-    back = parse_curve_text(format_curves(sample, header))
+    back = parse_text(format_curves(sample, header))
     assert np.array_equal(back, sample)
     assert back.tobytes() == sample.tobytes()
 
@@ -170,7 +195,7 @@ def defective_texts(draw, n_defects):
 def test_first_defect_in_file_order_is_reported(case):
     text, row, column = case
     with pytest.raises(ParseError) as err:
-        parse_curve_text(text)
+        parse_text(text)
     assert (err.value.row, err.value.column) == (row, column)
 
 
@@ -199,6 +224,11 @@ def valid_csv_texts(draw):
     return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
 
 
+def _lf(text: str) -> str:
+    """``text`` with every CRLF and lone CR line end turned into LF."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _parsed(parse, *args):
     try:
         sample = parse(*args)
@@ -212,20 +242,40 @@ def _parsed(parse, *args):
 @example("1,2\r3,4\r\n\r\n5,6")
 @example("1,2\n3\r4,5\n")
 @example('"a\r\nb",1\n2,3\n')
-def test_file_parse_matches_text_parse_of_the_files_text(tmp_path_factory, text):
+def test_mixed_line_ends_parse_like_the_same_text_with_lf_ends(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("parse") / "s.csv"
     path.write_bytes(text.encode())
-    assert _parsed(parse_curve_file, path) == _parsed(parse_curve_text, path.read_text(encoding="utf-8"), str(path))
+    mixed = _parsed(parse_curve_file, path)
+    path.write_bytes(_lf(text).encode())
+    assert mixed == _parsed(parse_curve_file, path)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(csv_texts(), valid_csv_texts(), defective_texts(1).map(lambda case: case[0])))
 def test_capacity_hints_below_at_and_above_the_row_count_parse_alike(text):
-    lines = _LINES.findall(text)
-    expected = _parsed(parse_curve_text, text)
+    lines = read_lines(text.encode())
+    expected = _parsed(_parse_lines, iter(lines), "<string>", len(lines) + 1)
     for capacity in range(1, len(lines) + 3):  # the data rows number at most len(lines)
-        for size in (None, len(text)):
+        for size in (None, len(text.encode())):
             assert _parsed(_parse_lines, iter(lines), "<string>", capacity, size) == expected
+
+
+BLOCK = 1 << 16  # the block size of _extent's count
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"1,2", b"1,2\n3,4\n", b"1,2\r3,4\r", b"1,2\r\n3,4\r\n", b"1\r\n2\r3\n\n\r4\r\r\n5",
+    b"1" * (BLOCK - 1) + b"\r\n2\r\n",  # a CRLF split across the block edge
+    b"1" * (BLOCK - 2) + b"\r\r\n\r\n2",  # a CR, then a CRLF across the edge
+    b"1\n" * (BLOCK // 2) + b"\r\n2",  # a CRLF just past the edge
+])
+def test_extent_counts_at_least_the_lines_the_text_layer_yields(data):
+    with file_of(data) as path, _reading(path) as text:
+        ends, size = _extent(text.buffer)
+        assert (size, text.buffer.tell()) == (len(data), 0)
+        lines = list(_text_lines(text, "<bytes>"))
+    assert "".join(lines) == _lf(data.decode())
+    assert ends >= len(lines)
 
 
 def test_piped_input_grows_its_buffer_and_parses_as_the_file_does(tmp_path, monkeypatch):

@@ -15,7 +15,6 @@ from ecc import DgpConfig, estimate_pipeline, generate_paired, parse_curve_file,
 from ecc import select_k_mindist
 from ecc.cli import _emit
 from ecc.curveio import format_curves
-from ecc.tail import _mindist_grid
 
 
 @pytest.fixture(scope="module")
@@ -64,19 +63,15 @@ def test_generate_paired_peaks_below_1_1_samples(variant):
     assert peak[0] < 1.1 * (x.nbytes + y.nbytes)
 
 
-def test_mindist_grid_cache_keeps_less_than_one_probe_grid():
-    _mindist_grid.cache_clear()
+def test_select_k_mindist_holds_almost_nothing_once_it_returns():
     radii = np.abs(np.random.default_rng(2).standard_t(3, 40_000))
-    grid_bytes = 0
+    select_k_mindist(radii[:2_000])  # a first call loads modules that stay loaded
     with traced_peak():
         base = tracemalloc.get_traced_memory()[0]
         for n in (20_000, 40_000):  # two distinct candidate ranges
             select_k_mindist(radii[:n])
-            cols, _, log_k = _mindist_grid(2, int(0.15 * n))  # the default range, cached by the call
-            grid_bytes = max(grid_bytes, cols.size * log_k.nbytes)  # its (probes, candidates) grid
         held = tracemalloc.get_traced_memory()[0] - base
-    assert _mindist_grid.cache_info().currsize == 2
-    assert held < grid_bytes
+    assert held < 8_000  # log i alone is 48 KB at n = 4e4
 
 
 def test_emitting_a_pair_peaks_below_one_input_above_the_arrays(tmp_path, monkeypatch, pair):
