@@ -39,12 +39,6 @@ def parse_text(text: str):
         return parse_curve_file(path)
 
 
-def read_lines(data: bytes) -> list[str]:
-    """The lines the reader yields of a file holding ``data``."""
-    with file_of(data) as path, _reading(path) as text:
-        return list(_text_lines(text, "<bytes>"))
-
-
 def test_parse_two_rows():
     sample = parse_text("1,2\n3,4\n")
     assert sample.shape == (2, 2)
@@ -242,18 +236,18 @@ def _parsed(parse, *args):
 @example("1,2\r3,4\r\n\r\n5,6")
 @example("1,2\n3\r4,5\n")
 @example('"a\r\nb",1\n2,3\n')
-def test_mixed_line_ends_parse_like_the_same_text_with_lf_ends(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("parse") / "s.csv"
-    path.write_bytes(text.encode())
-    mixed = _parsed(parse_curve_file, path)
-    path.write_bytes(_lf(text).encode())
-    assert mixed == _parsed(parse_curve_file, path)
+def test_mixed_line_ends_parse_like_the_same_text_with_lf_ends(text):
+    with file_of(text.encode()) as path:
+        mixed = _parsed(parse_curve_file, path)
+        path.write_bytes(_lf(text).encode())
+        assert mixed == _parsed(parse_curve_file, path)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(csv_texts(), valid_csv_texts(), defective_texts(1).map(lambda case: case[0])))
 def test_capacity_hints_below_at_and_above_the_row_count_parse_alike(text):
-    lines = read_lines(text.encode())
+    with file_of(text.encode()) as path, _reading(path) as fh:
+        lines = list(_text_lines(fh, "<string>"))
     expected = _parsed(_parse_lines, iter(lines), "<string>", len(lines) + 1)
     for capacity in range(1, len(lines) + 3):  # the data rows number at most len(lines)
         for size in (None, len(text.encode())):
@@ -268,7 +262,7 @@ BLOCK = 1 << 16  # the block size of _extent's count
     b"1" * (BLOCK - 1) + b"\r\n2\r\n",  # a CRLF split across the block edge
     b"1" * (BLOCK - 2) + b"\r\r\n\r\n2",  # a CR, then a CRLF across the edge
     b"1\n" * (BLOCK // 2) + b"\r\n2",  # a CRLF just past the edge
-])
+], ids=["empty", "no_end", "lf", "cr", "crlf", "mixed", "crlf_across_edge", "cr_crlf_across_edge", "crlf_past_edge"])
 def test_extent_counts_at_least_the_lines_the_text_layer_yields(data):
     with file_of(data) as path, _reading(path) as text:
         ends, size = _extent(text.buffer)

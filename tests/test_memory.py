@@ -68,7 +68,7 @@ def test_select_k_mindist_holds_almost_nothing_once_it_returns():
     select_k_mindist(radii[:2_000])  # a first call loads modules that stay loaded
     with traced_peak():
         base = tracemalloc.get_traced_memory()[0]
-        for n in (20_000, 40_000):  # two distinct candidate ranges
+        for n in (20_000, 40_000):
             select_k_mindist(radii[:n])
         held = tracemalloc.get_traced_memory()[0] - base
     assert held < 8_000  # log i alone is 48 KB at n = 4e4
