@@ -172,6 +172,9 @@ def _cmd_estimate(args) -> int:
 def _cmd_pairwise(args) -> int:
     if len(args.inputs) < 2:
         raise DomainError("pairwise needs at least two input files")
+    repeated = next((p for i, p in enumerate(args.inputs) if p in args.inputs[:i]), None)
+    if repeated is not None:
+        raise DomainError(f"pairwise input {repeated!r} is given more than once")
     samples = [parse_curve_file(p) for p in args.inputs]
     labels = [Path(p).stem for p in args.inputs]
     if len(set(labels)) < len(labels):  # a shared stem: each row is labelled with its path as given
@@ -199,8 +202,7 @@ def _cmd_pairwise(args) -> int:
 def _cmd_hill(args) -> int:
     sample = parse_curve_file(args.input)
     values = _margin_norms(sample, "input", not args.no_center)[1]
-    k_max = args.kmax if args.kmax is not None else values.size - 1
-    series = hill_series(values, k_max)
+    series = hill_series(values, args.kmax)
     _emit((_columns_csv("k,alpha,lo,hi", series.k, series.alpha_hat, series.ci_low, series.ci_high),
            args.output))
     return 0
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hill", help="Hill plot series of the centered-norm tail; CSV on stdout")
     p.add_argument("--input", required=True)
-    p.add_argument("--kmax", type=int, default=None, help="largest k in the series (default n-1)")
+    p.add_argument("--kmax", type=int, default=None,
+                   help="largest k in the series (default: the count of positive norms minus 1)")
     p.add_argument("--no-center", action="store_true")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_hill)

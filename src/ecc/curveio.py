@@ -7,15 +7,16 @@ finite ``float`` literal of ASCII characters without ``_``. Values are written
 with 17 significant digits so a write/read round trip is bit-identical. A file
 is read a line at a time through Python's text layer (``_reading``, which
 config files go through too) and written a block of rows at a time, so its
-whole text is never held in memory. Each data row is converted straight into one
-float buffer, sized by a count of the file's line ends and capped by the
-rows its bytes can hold (non-seekable input such as a pipe grows it by
-doubling), and shrunk in place at the end: a parsed sample is held once.
+whole text is never held in memory. Each data row is appended to one float
+buffer (``array.array``) that grows in place by about 1/16 at a time and that
+the result shares, so a file or pipe is held once; the up-to-1/16 slack past
+the last row is never written, so it is not resident.
 """
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -48,21 +49,13 @@ def _raise_bad_row(cells: list[str], width: int, row: int, source: str) -> None:
             raise ParseError(f"{source}: {kind} cell {cell!r}", row=row, column=col)
 
 
-# rows of the first buffer of input whose lines cannot be counted first (a pipe)
-_PIPE_ROWS = 1024
-
-
-def _parse_lines(lines, source: str, capacity: int, size: int | None = None) -> np.ndarray:
+def _parse_lines(lines, source: str) -> np.ndarray:
     """Parse CSV lines (line ends kept) into an (n, J) sample; the first defect in file order is reported.
 
-    ``capacity`` (at least 1) is the row count the buffer is first made for:
-    an upper bound on the data rows where the lines could be counted. A data
-    row of J cells takes at least 2J - 1 characters, so where the input's
-    ``size`` in characters or bytes is known it caps the buffer too: blank
-    lines cannot inflate it. A full buffer doubles.
+    The rows go into one growing buffer, which the result shares instead of copying.
     """
     reader = csv.reader(lines, strict=True)
-    buf, n, row, width = None, 0, 0, None
+    buf, row, width = array("d"), 0, None
     try:
         for cells in reader:
             if not any(cell.strip() for cell in cells):
@@ -78,21 +71,12 @@ def _parse_lines(lines, source: str, capacity: int, size: int | None = None) -> 
                 ok = False
             if not ok:
                 _raise_bad_row(cells, width, row, source)
-            if buf is None:
-                if size is not None:
-                    capacity = min(capacity, size // (2 * width - 1) + 1)
-                buf = np.empty((capacity, width))
-            elif n == len(buf):
-                buf.resize((2 * n, width), refcheck=False)
-            buf[n] = values
-            n += 1
+            buf.frombytes(values.tobytes())
     except csv.Error as exc:
         raise ParseError(f"{source}: {exc}", row=reader.line_num) from None
-    if buf is None:
+    if not buf:
         raise EmptyInputError(f"{source}: header only, no data rows" if row else f"{source}: no data rows")
-    # resized in place, here and above, not copied: refcheck=False is safe only because no view of buf exists yet
-    buf.resize((n, width), refcheck=False)
-    return buf
+    return np.frombuffer(buf).reshape(-1, width)
 
 
 @contextmanager
@@ -126,29 +110,11 @@ def _text_lines(text, source: str):
         yield line
 
 
-def _extent(fh) -> tuple[int, int]:
-    """An upper bound on the lines ``_text_lines`` gives of a seekable binary file, and its size in bytes.
-
-    LF, CR and CRLF each end a line; a CRLF split across two blocks counts
-    twice. The file is left at its start.
-    """
-    ends = 1
-    for block in iter(lambda: fh.read(1 << 16), b""):
-        ends += block.count(b"\n")
-        if b"\r" in block:  # counting the two-byte CRLF is the slow part: only where there is a CR
-            ends += block.count(b"\r") - block.count(b"\r\n")
-    size = fh.tell()
-    fh.seek(0)
-    return ends, size
-
-
 def parse_curve_file(path) -> np.ndarray:
     """Read a curve file into an (n, J) sample, one curve per data row, a line at a time."""
     source = str(Path(path))
     with _reading(path) as text:
-        # the count reads the binary file under the text layer, which has read nothing yet
-        capacity, size = _extent(text.buffer) if text.seekable() else (_PIPE_ROWS, None)
-        return _parse_lines(_text_lines(text, source), source, capacity, size)
+        return _parse_lines(_text_lines(text, source), source)
 
 
 def _csv_blocks(sample, header: list[str] | None = None):

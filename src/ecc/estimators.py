@@ -280,7 +280,7 @@ def estimate_pipeline(
 def _hill_series_or_none(values: np.ndarray) -> HillSeries | None:
     # advisory attachment: a series that cannot be computed is simply omitted
     try:
-        return hill_series(values, np.count_nonzero(values > 0) - 1)
+        return hill_series(values)
     except (DomainError, DegenerateTailError):
         return None
 

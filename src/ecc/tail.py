@@ -120,10 +120,11 @@ def _hill_log_sums(vs: np.ndarray, k_max: int):
     return logs, ks, np.cumsum(logs[:, :-1], axis=1) - ks * logs[:, 1:]
 
 
-def hill_series(values, k_max: int) -> HillSeries:
-    """Hill estimates for every k in 1..k_max, with alpha_hat +- 1.96 alpha_hat/sqrt(k) bounds."""
+def hill_series(values, k_max: int | None = None) -> HillSeries:
+    """Hill estimates for k = 1..k_max (default: positive values - 1), alpha_hat +- 1.96 alpha_hat/sqrt(k) bounds."""
     v = _sorted_desc(values)
     n = v.size
+    k_max = int(np.count_nonzero(v > 0)) - 1 if k_max is None else k_max
     if not 2 <= k_max <= n - 1:
         raise DomainError(f"k_max={k_max} out of range [2, {n - 1}]")
     _check_top_positive(v, k_max + 1)

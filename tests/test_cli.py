@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ecc
-from ecc import DgpConfig, generate_paired, parse_curve_file, write_curve_file
+from ecc import DgpConfig, estimate_pipeline, generate_paired, parse_curve_file, write_curve_file
 from ecc.curves import _row_blocks
 from ecc.curveio import _csv_blocks, format_curves
 from ecc.cli import main
@@ -166,6 +166,27 @@ def test_hill_series_csv(capsys, sample_files):
     assert len(lines) == 51
     first = lines[1].split(",")
     assert int(first[0]) == 1
+
+
+def test_hill_default_kmax_is_the_pipelines_rule(capsys, tmp_path, monkeypatch):
+    # uncentered, a zero curve has norm 0: the series runs to the count of positive norms minus 1
+    monkeypatch.chdir(tmp_path)
+    x, y = generate_paired(DgpConfig(rho=0.5, alpha=3.0, n=300, J=10, seed=4))
+    x[7] = 0.0
+    write_curve_file("x.csv", x)
+    code, out, err = run_cli(capsys, "hill", "--input", "x.csv", "--no-center")
+    assert code == 0, err
+    series = estimate_pipeline(x, y, do_center=False).hill_x
+    rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+    assert rows[:, 0].tolist() == series.k.tolist() == list(range(1, 299))
+    assert np.array_equal(rows[:, 1], series.alpha_hat)
+
+
+def test_pairwise_rejects_a_path_given_twice(capsys, sample_files):
+    xp, yp = sample_files
+    code, out, err = run_cli(capsys, "pairwise", "--inputs", xp, yp, xp)
+    assert (code, out) == (3, "")
+    assert _error(err)["message"] == f"pairwise input {xp!r} is given more than once"
 
 
 def test_chi_series_csv(capsys, sample_files):

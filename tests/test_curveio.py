@@ -19,9 +19,8 @@ from ecc import (
     resample_linear,
     write_curve_file,
 )
-from ecc import curveio
 from ecc.curves import _row_blocks
-from ecc.curveio import _PIPE_ROWS, _extent, _parse_lines, _reading, _text_lines, format_curves
+from ecc.curveio import format_curves
 
 
 @contextmanager
@@ -31,6 +30,29 @@ def file_of(data: bytes):
         path = Path(tmp) / "s.csv"
         path.write_bytes(data)
         yield path
+
+
+@contextmanager
+def fifo_of(data: bytes):
+    """The path of a FIFO that a thread feeds ``data`` into once a reader opens it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        os.mkfifo(path)
+
+        def feed():
+            try:
+                with open(path, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:  # the parser stopped at a defect and closed its end
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            yield path
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 def parse_text(text: str):
@@ -243,59 +265,33 @@ def test_mixed_line_ends_parse_like_the_same_text_with_lf_ends(text):
         assert mixed == _parsed(parse_curve_file, path)
 
 
+def _outcome_at(path):
+    """``_parsed`` of the file at ``path``, with ``path`` in an error's text written as ``<source>``."""
+    return tuple(part.replace(str(path), "<source>") if isinstance(part, str) else part
+                 for part in _parsed(parse_curve_file, path))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(csv_texts(), valid_csv_texts(), defective_texts(1).map(lambda case: case[0])))
-def test_capacity_hints_below_at_and_above_the_row_count_parse_alike(text):
-    with file_of(text.encode()) as path, _reading(path) as fh:
-        lines = list(_text_lines(fh, "<string>"))
-    expected = _parsed(_parse_lines, iter(lines), "<string>", len(lines) + 1)
-    for capacity in range(1, len(lines) + 3):  # the data rows number at most len(lines)
-        for size in (None, len(text.encode())):
-            assert _parsed(_parse_lines, iter(lines), "<string>", capacity, size) == expected
+@example("1,2\n" * 20000)  # more than a 64 KiB pipe buffer holds: the writer waits for the parser
+def test_a_pipe_parses_as_a_file_of_the_same_bytes(text):
+    data = text.encode()
+    with file_of(data) as path:
+        from_file = _outcome_at(path)
+    with fifo_of(data) as fifo:
+        assert _outcome_at(fifo) == from_file
 
 
-BLOCK = 1 << 16  # the block size of _extent's count
-
-
-@pytest.mark.parametrize("data", [
-    b"", b"1,2", b"1,2\n3,4\n", b"1,2\r3,4\r", b"1,2\r\n3,4\r\n", b"1\r\n2\r3\n\n\r4\r\r\n5",
-    b"1" * (BLOCK - 1) + b"\r\n2\r\n",  # a CRLF split across the block edge
-    b"1" * (BLOCK - 2) + b"\r\r\n\r\n2",  # a CR, then a CRLF across the edge
-    b"1\n" * (BLOCK // 2) + b"\r\n2",  # a CRLF just past the edge
-], ids=["empty", "no_end", "lf", "cr", "crlf", "mixed", "crlf_across_edge", "cr_crlf_across_edge", "crlf_past_edge"])
-def test_extent_counts_at_least_the_lines_the_text_layer_yields(data):
-    with file_of(data) as path, _reading(path) as text:
-        ends, size = _extent(text.buffer)
-        assert (size, text.buffer.tell()) == (len(data), 0)
-        lines = list(_text_lines(text, "<bytes>"))
-    assert "".join(lines) == _lf(data.decode())
-    assert ends >= len(lines)
-
-
-def test_piped_input_grows_its_buffer_and_parses_as_the_file_does(tmp_path, monkeypatch):
-    sample = np.random.default_rng(3).standard_normal((3 * _PIPE_ROWS + 1, 5))  # the buffer doubles twice
+def test_piped_input_grows_its_buffer_and_parses_as_the_file_does(tmp_path):
+    sample = np.random.default_rng(3).standard_normal((3073, 5))  # several pipe buffers of text
     data = format_curves(sample, [f"t{j}" for j in range(5)]).encode()
     (tmp_path / "s.csv").write_bytes(data)
     from_file = parse_curve_file(tmp_path / "s.csv")
-    fifo = tmp_path / "pipe.csv"
-    os.mkfifo(fifo)
-    counted = []
-    monkeypatch.setattr(curveio, "_extent", lambda fh: counted.append(fh) or (0, 0))
-
-    def feed():
-        with open(fifo, "wb") as fh:
-            fh.write(data)
-
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
+    with fifo_of(data) as fifo:
         piped = parse_curve_file(fifo)
-    finally:
-        writer.join(timeout=60)
-    assert not writer.is_alive()
-    assert not counted  # a pipe cannot be counted first
     assert piped.shape == sample.shape
     assert piped.tobytes() == sample.tobytes() == from_file.tobytes()
+    assert piped.flags.c_contiguous and piped.flags.writeable
 
 
 @pytest.mark.parametrize("content, row, column, utf8", [

@@ -3,7 +3,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ecc import (
     DegenerateSampleError,
@@ -680,6 +680,27 @@ def test_power_of_two_scaling_keeps_the_bits_or_raises_a_typed_error(n, seed, e)
         elif not isinstance(scaled, EccError):
             # near the underflow edge some squares are subnormal while k r_k^2 is still normal
             assert np.allclose((scaled.sigma_xy, scaled.rho_xy, scaled.gamma_xy), expected, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(e=st.integers(-1000, 1000), **{name: case for name, case in _metamorphic_cases.items() if name != "fire"})
+@example(e=-1000, n=200, seed=1, k_method="mindist", do_center=False)
+@example(e=-400, n=200, seed=1, k_method="mindist", do_center=True)  # the norm sums' product underflows
+@example(e=1000, n=200, seed=1, k_method="ks", do_center=True)
+def test_power_of_two_scaling_with_the_transform_firing_gives_a_valid_estimate_or_a_typed_error(
+        e, n, seed, k_method, do_center):
+    # the transform is not scale-equivariant, so only validity is required, not the unscaled bits
+    x, y, _ = _metamorphic_pair(n, seed, True)
+    with np.errstate(over="ignore", under="ignore"):
+        xs, ys = np.ldexp(x, e), np.ldexp(y, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _outcome(estimate_pipeline, xs, ys, k_method=k_method, tau=0.0, do_center=do_center)
+    if isinstance(rep, EccError):
+        return
+    assert rep.transformed
+    assert np.all(np.isfinite((rep.ecc.sigma_xy, rep.ecc.rho_xy, rep.ecc.gamma_xy)))
+    assert -1.0 <= rep.ecc.rho_xy <= 1.0
 
 
 @pytest.mark.parametrize("e", [-480, -300, 0, 250, 260, 300, 480])
