@@ -69,6 +69,9 @@ COMMANDS = {
     # base_x.csv with CRLF and with lone CR line ends: the same report as estimate_mindist
     "estimate_crlf": ["estimate", "--x", "base_x_crlf.csv", "--y", "base_y.csv"],
     "estimate_cr": ["estimate", "--x", "base_x_cr.csv", "--y", "base_y.csv"],
+    # the base pair rounded to integers, uncentered: r_15 ties r_16, so 16 pairs enter with divisor 15
+    "estimate_tied_radii": ["estimate", "--x", "round_x.csv", "--y", "round_y.csv", "--no-center",
+                            "--k", "15"],
     "error_parse_exit_2": ["estimate", "--x", "missing.csv", "--y", "base_y.csv"],
     # a CRLF header, then invalid UTF-8 on line 4: the message names the line and the byte
     "error_invalid_utf8_exit_2": ["estimate", "--x", "bad_utf8.csv", "--y", "base_y.csv"],
@@ -93,6 +96,8 @@ def _write_inputs(d: Path) -> None:
         write_curve_file(d / f"{name}_y.csv", y)
         if name == "base":  # a margin two tail-index units heavier: the transform fires
             write_curve_file(d / "heavy_y.csv", power_transform(y, 3.0, 1.0))
+            write_curve_file(d / "round_x.csv", np.round(x))
+            write_curve_file(d / "round_y.csv", np.round(y))
     text = (d / "base_x.csv").read_bytes()
     (d / "base_x_crlf.csv").write_bytes(text.replace(b"\n", b"\r\n"))
     (d / "base_x_cr.csv").write_bytes(text.replace(b"\n", b"\r"))
@@ -184,6 +189,8 @@ def test_corpus_covers_both_error_exits_and_the_transform(manifest):
     assert {0, 2, 3} <= exits
     report = json.loads(_recorded_output("estimate_transform", "stdout"))
     assert report["transformed"] is True
+    tied = json.loads(_recorded_output("estimate_tied_radii", "stdout"))
+    assert len(tied["exceedance_indices"]) > tied["k"]
 
 
 def test_number_comparison_tolerance():
