@@ -7,9 +7,17 @@ norms carry the uniform grid weight 1/J, so they approximate the usual
 integrals on [0, 1]. Summations run through ``np.sum`` (pairwise
 accumulation), which keeps results stable for grids up to ~1e6 points.
 
+The estimators' curve arithmetic is all here. ``_margin_rows`` forms their
+rows ``(x - mean) * factor`` (centered and, once the transform fired, scaled
+curves) a block at a time; the row kernels ``_norms`` and ``_inner_products``,
+of which ``norm`` and ``inner_product`` are one-row views, reduce them. An
+overflow in any of them raises DomainError through ``_overflow_raises``.
+
 All functions are pure and never mutate their inputs.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,19 +69,28 @@ def grid(J: int) -> np.ndarray:
     return np.arange(1, J + 1) / J
 
 
+@contextmanager
+def _overflow_raises(message: str):
+    """Raise DomainError(message), and no warning, where a float operation inside overflows."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise DomainError(message) from None
+
+
 def inner_product(x, y) -> float:
     """Discrete L2 inner product (1/J) * sum_j x(j/J) y(j/J)."""
     xc = as_curve(x)
     yc = as_curve(y)
     if xc.shape != yc.shape:
         raise GridMismatchError(f"grids differ: J={xc.size} vs J={yc.size}")
-    return float(np.sum(xc * yc) / xc.size)
+    return float(_inner_products(xc[None], yc[None])[0])
 
 
 def norm(x) -> float:
     """Discrete L2 norm, sqrt(inner_product(x, x))."""
-    xc = as_curve(x)
-    return float(np.sqrt(np.sum(xc * xc) / xc.size))
+    return float(_norms(as_curve(x)[None])[0])
 
 
 def inner_products(x, y) -> np.ndarray:
@@ -83,25 +100,27 @@ def inner_products(x, y) -> np.ndarray:
 
 def _inner_products(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``inner_products`` of a pair ``check_paired`` already returned, without checking it again."""
-    return np.sum(xs * ys, axis=1) / xs.shape[1]
+    with _overflow_raises("curve inner products overflow"):
+        return np.sum(xs * ys, axis=1) / xs.shape[1]
 
 
 def _norms(arr: np.ndarray) -> np.ndarray:
     """``norms`` of a sample ``as_sample`` already returned, without checking it again."""
-    try:
-        with np.errstate(over="raise"):
-            return np.sqrt(np.sum(arr * arr, axis=1) / arr.shape[1])
-    except FloatingPointError:
-        raise DomainError("curve norms overflow") from None
+    with _overflow_raises("curve norms overflow"):
+        return np.sqrt(np.sum(arr * arr, axis=1) / arr.shape[1])
 
 
-def _rescaled(arr: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``arr`` with each curve multiplied by its factor; a product that overflows raises."""
-    try:
-        with np.errstate(over="raise"):
-            return arr * factors[:, None]
-    except FloatingPointError:
-        raise DomainError("transformed curves overflow") from None
+def _margin_rows(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarray | None, rows) -> np.ndarray:
+    """Rows ``rows`` (a slice or indices) of ``(arr - mean) * factors[:, None]``, with no copy of the rest of ``arr``.
+
+    ``mean`` None skips the centering and ``factors`` None the scaling; a
+    scaled value that overflows raises.
+    """
+    block = arr[rows] if mean is None else arr[rows] - mean
+    if factors is None:
+        return block
+    with _overflow_raises("transformed curves overflow"):
+        return block * factors[rows, None]
 
 
 def _row_blocks(n: int, J: int, values: int = _BLOCK_VALUES) -> list[slice]:
@@ -111,28 +130,20 @@ def _row_blocks(n: int, J: int, values: int = _BLOCK_VALUES) -> list[slice]:
 
 
 def _centered_norms(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarray | None = None) -> np.ndarray:
-    """``_norms`` of ``(arr - mean) * factors[:, None]`` a row block at a time, with no copy of ``arr``.
+    """``_norms`` of the ``_margin_rows`` of ``arr``, a row block at a time.
 
-    ``mean`` None skips the centering and ``factors`` None the scaling. Each
-    row's norm has the bits of the whole-array expression, and an overflow
-    raises as ``_rescaled`` and ``_norms`` do.
+    Each row's norm has the bits of the whole-array expression.
     """
     out = np.empty(arr.shape[0])
     for rows in _row_blocks(*arr.shape):
-        block = arr[rows] if mean is None else arr[rows] - mean
-        if factors is not None:
-            block = _rescaled(block, factors[rows])
-        out[rows] = _norms(block)
+        out[rows] = _norms(_margin_rows(arr, mean, factors, rows))
     return out
 
 
 def _mean_curve(arr: np.ndarray) -> np.ndarray:
     """The pointwise mean curve of a sample ``as_sample`` already returned; a sum that overflows raises."""
-    try:
-        with np.errstate(over="raise"):
-            return arr.mean(axis=0)
-    except FloatingPointError:
-        raise DomainError("the mean curve overflows") from None
+    with _overflow_raises("the mean curve overflows"):
+        return arr.mean(axis=0)
 
 
 def norms(s) -> np.ndarray:

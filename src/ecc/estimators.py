@@ -29,7 +29,7 @@ from functools import cache
 
 import numpy as np
 
-from .curves import _centered_norms, _inner_products, _mean_curve, _norms, as_sample, check_paired
+from .curves import _centered_norms, _inner_products, _margin_rows, _mean_curve, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import HillSeries, TailFit, _check_k_method, _mindist_k, _mindist_rows, hill_series, select_k
 from .transform import _power_scales
@@ -227,20 +227,15 @@ def _pipelines(
             factors = _power_scales(nrm, fit.alpha_hat, alpha_target)
             return factors, _centered_norms(arr, mean, factors)
 
-    def rows(arr, mean, idx):
-        return arr[idx] if mean is None else arr[idx] - mean
-
     def paired_stage(a, b):
         (xs, mean_x, nx, tail_x, hill_x, name_x), (ys, mean_y, ny, tail_y, hill_y, name_y) = margins[a], margins[b]
         transformed = abs(tail_x.alpha_hat - tail_y.alpha_hat) > tau
+        sx = sy = None
         if transformed:
             (sx, nx), (sy, ny) = transformed_norms(a), transformed_norms(b)
 
         def inner_products(idx):  # of the transformed rows when the transform fired
-            xe, ye = rows(xs, mean_x, idx), rows(ys, mean_y, idx)
-            if transformed:
-                xe, ye = xe * sx[idx, None], ye * sy[idx, None]
-            return _inner_products(xe, ye)
+            return _inner_products(_margin_rows(xs, mean_x, sx, idx), _margin_rows(ys, mean_y, sy, idx))
 
         with _naming(f"{name_x} and {name_y}"):
             (report,) = _radius_rows(nx[None], ny[None], [inner_products], k_method, k)

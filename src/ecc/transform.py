@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import _norms, _rescaled, as_sample
+from .curves import _margin_rows, _norms, _overflow_raises, as_sample
 from .errors import DomainError
 
 
@@ -18,14 +18,11 @@ def _power_scales(r, alpha_source: float, alpha_target: float) -> np.ndarray:
     for name, alpha in (("alpha_source", alpha_source), ("alpha_target", alpha_target)):
         if not 0 < alpha < np.inf:
             raise DomainError(f"{name} must be positive and finite, got {alpha}")
-    try:
-        with np.errstate(divide="ignore", over="raise"):
-            return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
-    except FloatingPointError:
-        raise DomainError("power transform factors overflow") from None
+    with np.errstate(divide="ignore"), _overflow_raises("power transform factors overflow"):
+        return np.where(r > 0, r ** (alpha_source / alpha_target - 1.0), 0.0)
 
 
 def power_transform(s, alpha_source: float, alpha_target: float) -> np.ndarray:
     """Rescale every curve so the norm tail index moves from alpha_source to alpha_target."""
     arr = as_sample(s)
-    return _rescaled(arr, _power_scales(_norms(arr), alpha_source, alpha_target))
+    return _margin_rows(arr, None, _power_scales(_norms(arr), alpha_source, alpha_target), slice(None))

@@ -13,7 +13,7 @@ from ecc import (
     norms,
     pair_radii,
 )
-from ecc.curves import _BLOCK_VALUES, _centered_norms, _norms, _rescaled, _row_blocks
+from ecc.curves import _BLOCK_VALUES, _centered_norms, _norms, _row_blocks
 from ecc.errors import DomainError
 from ecc.simulate import basis
 
@@ -123,6 +123,34 @@ def test_overflowing_norms_raise_without_warning():
                 op(s)
 
 
+def test_overflowing_inner_products_and_one_row_views_raise_without_warning():
+    x = np.full(10, 1e200)
+    ops = [
+        ("curve norms overflow", lambda: norm(x)),
+        ("curve inner products overflow", lambda: inner_product(x, x)),
+        ("curve inner products overflow", lambda: inner_products(x[None], x[None])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for message, op in ops:
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                op()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10_001), st.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(10_001, 1)
+def test_norm_and_inner_product_are_one_row_views_bit_for_bit(J, seed):
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, J)) * 10.0 ** rng.uniform(-100, 100, size=(2, 1))
+    assert norm(x) == norms(x[None])[0]
+    assert inner_product(x, y) == inner_products(x[None], y[None])[0]
+    # and the bits of the 1-d expressions the one-row views replaced
+    assert norm(x) == np.sqrt(np.sum(x * x) / J)
+    assert inner_product(x, y) == np.sum(x * y) / J
+
+
 @given(curve_pairs())
 def test_inner_product_symmetric(pair):
     x, y = pair
@@ -171,7 +199,7 @@ def test_blocked_norms_equal_the_whole_array_expressions_bit_for_bit(n, J, seed)
     assert _centered_norms(arr, None).tobytes() == _norms(arr).tobytes()
     assert _centered_norms(arr, arr.mean(axis=0)).tobytes() == _norms(centered).tobytes()
     assert (_centered_norms(arr, arr.mean(axis=0), factors).tobytes()
-            == _norms(_rescaled(centered, factors)).tobytes())
+            == _norms(centered * factors[:, None]).tobytes())
 
 
 @pytest.mark.parametrize("big_row", [0, -1])
