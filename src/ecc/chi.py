@@ -96,10 +96,7 @@ def chi_curve(u, v, q_grid) -> ChiSeries:
         deriv = -2.0 * log_pu / (p_joint * log_pj * log_pj)
         se_raw = np.abs(deriv) * np.sqrt(p_joint * (1.0 - p_joint) / n)
 
-    undefined = m_v == 0
-    chi = np.where(undefined, np.nan, chi)
-    se_chi = np.where(undefined, np.nan, se_chi)
-    raw = np.where(undefined | (m_u == 0), np.nan, raw)
+    raw = np.where((m_v == 0) | (m_u == 0), np.nan, raw)  # chi and se_chi are already nan where m_v == 0
     se_raw = np.where(np.isnan(raw), np.nan, se_raw)
 
     return ChiSeries(

@@ -196,9 +196,7 @@ def _pipelines(
         raise DomainError(f"alpha_target must be positive and finite, got {alpha_target}")
     if not tau >= 0:  # tau = inf is legal: the transform never fires
         raise DomainError(f"tau must be nonnegative, got {tau}")
-    if k is not None:
-        k_method = "fixed"
-    _check_k_method(k_method, k)
+    k_method = _check_k_method(k_method, k)
 
     arrs = []
     for s, name in zip(samples, names):

@@ -43,6 +43,7 @@ import numpy as np
 from .curves import _row_blocks, grid
 from .errors import DomainError, EccError
 from .estimators import _radius_rows
+from .tail import _check_k_method
 
 VARIANTS = ("base", "bernoulli", "phase")
 
@@ -357,7 +358,8 @@ def replicate_rho(
     dropped and counted, and a domain error aborts the run with the error of
     the first failing replication. Replications read basis scores (see the
     module docstring), so rho_hat can differ in the last ulps from
-    ``ecc_report`` on ``draw_paired`` curves.
+    ``ecc_report`` on ``draw_paired`` curves. A given ``k_fixed`` fixes every
+    replication's k whatever ``k_method`` says, as ``k`` does in the pipeline.
 
     Replications run in blocks of ``_BLOCK`` (fewer at large n, see
     ``_BLOCK_VALUES``): each draws its scores and keeps only its norms and
@@ -367,6 +369,7 @@ def replicate_rho(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     _check_run(seed, threads)
+    k_method = _check_k_method(k_method, k_fixed)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(reps)
     px = _basis_rows(cfg)

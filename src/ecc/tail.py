@@ -92,7 +92,11 @@ def _hill_fit(v: np.ndarray, k: int, method: str) -> TailFit:
         raise DomainError(f"k={k} out of range [1, {n - 1}]")
     _check_top_positive(v, k + 1)
     threshold = v[k]
-    log_sum = float(np.sum(np.log(v[:k] / threshold)))
+    with np.errstate(over="ignore"):  # an overflowing ratio's log is taken as a difference of logs
+        logs = np.log(v[:k] / threshold)
+    if np.isinf(logs[0]):  # the largest ratio overflows first
+        logs = np.where(np.isinf(logs), np.log(v[:k]) - np.log(threshold), logs)
+    log_sum = float(np.sum(logs))
     if log_sum <= 0.0:
         raise DegenerateTailError("top order statistics are all equal; tail index undefined")
     return TailFit(alpha_hat=k / log_sum, k=k, threshold=float(threshold), method=method)
@@ -274,7 +278,7 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
 
     m_total = pos.size
     log_pos = np.log(pos)
-    suffix_log_sum = np.concatenate([np.cumsum(log_pos[::-1])[::-1], [0.0]])
+    suffix_log_sum = np.cumsum(log_pos[::-1])[::-1]
     counts = m_total - first_idx
     ok = counts >= min_exceedances
     cand_idx = first_idx[ok]
@@ -312,16 +316,23 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
     )
 
 
-def _check_k_method(method: str, k: int | None) -> None:
+def _check_k_method(method: str, k: int | None) -> str:
+    """The k rule that runs for ``method`` and ``k``: an unknown method raises, then a given k fixes k."""
     if method not in K_METHODS:
         raise DomainError(f"unknown k_method {method!r}")
-    if method == "fixed" and k is None:
+    if k is not None:
+        return "fixed"
+    if method == "fixed":
         raise DomainError("k_method='fixed' requires k")
+    return method
 
 
 def select_k(values, method: str, k: int | None = None) -> TailFit:
-    """Tail fit with k chosen by ``method``: "fixed" (Hill at the given k), "mindist" or "ks"."""
-    _check_k_method(method, k)
+    """Tail fit with k chosen by ``method``: "fixed" (Hill at the given k), "mindist" or "ks".
+
+    A given k fixes k whatever the method.
+    """
+    method = _check_k_method(method, k)
     if method == "fixed":
         return hill(values, k)
     return select_k_mindist(values) if method == "mindist" else select_k_ks(values)

@@ -182,6 +182,21 @@ def test_hill_default_kmax_is_the_pipelines_rule(capsys, tmp_path, monkeypatch):
     assert np.array_equal(rows[:, 1], series.alpha_hat)
 
 
+def test_estimate_hill_fit_whose_top_ratio_overflows_is_not_zero(capsys, tmp_path, monkeypatch):
+    # five huge constant curves over a tiny body: V_(1) / V_(k+1) overflows for every k up to 195
+    monkeypatch.chdir(tmp_path)
+    x = np.abs(np.random.default_rng(5).standard_normal((200, 10))) * 1e-156 + 1e-156
+    x[:5] = 1e153 * np.array([0.5, 0.6, 0.7, 0.8, 0.9])[:, None]
+    write_curve_file("x.csv", x)
+    code, out, err = run_cli(capsys, "estimate", "--x", "x.csv", "--y", "x.csv", "--k", "5", "--no-center",
+                             "--tau", "inf")
+    assert (code, err) == (0, "")
+    series = ecc.hill_series(ecc.norms(x), 20).alpha_hat
+    assert json.loads(out)["tail_x"]["alpha_hat"] == pytest.approx(series[4], rel=1e-12, abs=0)
+    fit = ecc.select_k_mindist(ecc.norms(x))  # the marginal mindist fit of the same norms
+    assert fit.alpha_hat == pytest.approx(series[fit.k - 1], rel=1e-12, abs=0)
+
+
 def test_pairwise_rejects_a_path_given_twice(capsys, sample_files):
     xp, yp = sample_files
     code, out, err = run_cli(capsys, "pairwise", "--inputs", xp, yp, xp)

@@ -262,6 +262,12 @@ def test_pipeline_transform_holds_no_sample_copy_through_radius_fit(monkeypatch)
     assert (held[0] - start_fired) - (held[1] - start_plain) < x.nbytes / 4
 
 
+def test_pipeline_rejects_an_unknown_k_method_even_with_k_given():
+    x, y = _dgp_sample(seed=3)
+    with pytest.raises(DomainError, match="^unknown k_method 'bogus'$"):
+        estimate_pipeline(x, y, k=10, k_method="bogus")
+
+
 def test_pipeline_records_marginal_fits_and_series():
     x, y = _dgp_sample(seed=8)
     rep = estimate_pipeline(x, y, k_method="mindist")

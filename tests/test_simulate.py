@@ -307,6 +307,22 @@ def test_replicate_rho_matches_the_grid_path(variant, k_method, k_fixed):
     assert np.max(np.abs(rho_hats - grid_rho[good])) <= 1e-12
 
 
+@pytest.mark.parametrize("k_method", ["mindist", "ks", "fixed"])
+def test_replicate_rho_k_fixed_fixes_k_whatever_the_method(k_method):
+    cfg = DgpConfig(rho=0.5, alpha=3, n=200, J=20)
+    rho_hats, ks, failed = replicate_rho(cfg, 3, 0, k_method=k_method, k_fixed=10)
+    assert ks.tolist() == [10.0, 10.0, 10.0] and failed == 0
+    assert np.array_equal(rho_hats, replicate_rho(cfg, 3, 0, k_method="fixed", k_fixed=10)[0])
+
+
+def test_replicate_rho_rejects_an_unknown_k_method_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(simulate, "_scores", lambda rng, cfg: draws.append(cfg))
+    with pytest.raises(DomainError, match="^unknown k_method 'bogus'$"):
+        replicate_rho(DgpConfig(rho=0.5, alpha=3, n=200, J=20), 3, 0, k_method="bogus", k_fixed=10)
+    assert draws == []
+
+
 def test_gram_norms_raise_on_negative_or_nan_forms_without_warning():
     c = np.array([[1.0, 2.0], [3.0, -1.0]])
     with pytest.raises(DomainError, match="curve norms"):

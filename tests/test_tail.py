@@ -306,6 +306,16 @@ def test_ks_average_k_on_dgp_radii():
     assert 163.8 <= np.mean(ks) <= 382.2
 
 
+@pytest.mark.parametrize("values, k", [
+    (np.r_[1e300, 1e299, 1e298, np.linspace(1e-10, 1e-9, 50)], 3),  # V_(1) / V_(k+1) overflows
+    (np.r_[1.0, 0.5, 5e-324, 5e-324], 2),  # a subnormal threshold
+])
+def test_hill_with_an_overflowing_ratio_matches_its_series_without_warning(values, k):
+    fit = hill(values, k)  # the suite turns a RuntimeWarning into an error
+    assert fit.alpha_hat > 0.0
+    assert fit.alpha_hat == pytest.approx(hill_series(values, k).alpha_hat[k - 1], rel=1e-12, abs=0)
+
+
 # --- select_k -------------------------------------------------------------
 
 
@@ -314,6 +324,12 @@ def test_select_k_dispatches_to_each_rule():
     assert select_k(v, "fixed", 25) == hill(v, 25)
     assert select_k(v, "mindist") == select_k_mindist(v)
     assert select_k(v, "ks") == select_k_ks(v)
+
+
+@pytest.mark.parametrize("method", ["mindist", "ks"])
+def test_select_k_with_a_given_k_fixes_k_whatever_the_method(method):
+    v = (1 - np.random.default_rng(12).random(300)) ** (-1 / 3.0)
+    assert select_k(v, method, 25) == hill(v, 25)
 
 
 def test_select_k_rejects_unknown_method_and_fixed_without_k():
