@@ -26,27 +26,11 @@ from ecc import (
 from ecc import estimators
 from ecc.curves import inner_products
 from ecc.simulate import DgpConfig, draw_paired, generate_paired, invert_oracle
+from reference import naive_reports
 
 # scalar fixture (J = 1): radii 3, 1, 0.5
 X3 = np.array([[3.0], [1.0], [0.5]])
 Y3 = np.array([[3.0], [-1.0], [0.5]])
-
-
-def _naive_reports(x, y, k):
-    """Loop re-implementation of all three estimators."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    J = x.shape[1]
-    radii = [max(np.sqrt(np.sum(a * a) / J), np.sqrt(np.sum(b * b) / J)) for a, b in zip(x, y)]
-    r_k = sorted(radii, reverse=True)[k - 1]
-    idx = [i for i, r in enumerate(radii) if r >= r_k]
-    ips = [np.sum(x[i] * y[i]) / J for i in idx]
-    sigma = sum(ips) / (k * r_k**2)
-    sx = sum(np.sum(x[i] ** 2) / J for i in idx)
-    sy = sum(np.sum(y[i] ** 2) / J for i in idx)
-    rho = sum(ips) / np.sqrt(sx * sy)
-    gamma = sum(ip / radii[i] ** 2 for ip, i in zip(ips, idx)) / k
-    return sigma, rho, gamma
 
 
 def test_order_statistic_basic():
@@ -144,7 +128,7 @@ def test_report_matches_naive_loops():
             rep = ecc_report(x, y, k)
         except DegenerateSampleError:
             continue
-        sigma, rho, gamma = _naive_reports(x, y, k)
+        sigma, rho, gamma = naive_reports(x, y, k)
         assert rep.sigma_xy == pytest.approx(sigma, rel=1e-10)
         assert rep.rho_xy == pytest.approx(np.clip(rho, -1, 1), rel=1e-10)
         assert rep.gamma_xy == pytest.approx(gamma, rel=1e-10)

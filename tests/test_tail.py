@@ -22,6 +22,7 @@ from ecc import (
 )
 from ecc import tail
 from ecc.tail import _mindist_rows, _prune_argmin
+from reference import SHAPES, full_scan_ks, full_scan_mindist, full_scan_mindist_distances, tail_sample
 
 
 # --- hill ---------------------------------------------------------------
@@ -344,97 +345,6 @@ def test_select_k_rejects_unknown_method_and_fixed_without_k():
 
 # --- pruned searches against the full scans ---------------------------------
 
-_REFERENCE_CELLS = 4_000_000  # block size of the reference scans, in matrix cells
-
-
-def _full_scan_mindist_distances(values, k_min=2, k_max=None):
-    """Every candidate k of select_k_mindist and its distance, by a block scan over every column."""
-    v = np.sort(np.asarray(values, dtype=float), kind="stable")[::-1]
-    n = v.size
-    if n < 20:
-        raise DomainError(f"need at least 20 values, got {n}")
-    if k_max is None:
-        k_max = min(max(3, int(0.15 * n)), n - 1)
-    if not (2 <= k_min < k_max <= n - 1):
-        raise DomainError(f"invalid candidate range [{k_min}, {k_max}] for n={n}")
-    if v[k_max] <= 0:
-        raise DomainError(f"the top {k_max + 1} values must be strictly positive")
-    logs = np.log(v[: k_max + 1])
-    ks_all = np.arange(1, k_max + 1)
-    gammas = (np.cumsum(logs[:-1]) - ks_all * logs[1:]) / ks_all
-    if np.any(gammas[k_min - 1 :] <= 0.0):
-        raise DegenerateTailError("tied top order statistics in the candidate range")
-
-    ks = np.arange(k_min, k_max + 1)
-    log_i = np.log(np.arange(1, k_max + 1))
-    gam = gammas[ks - 1]
-    dists = np.empty(ks.size)
-    rows_per_block = max(1, _REFERENCE_CELLS // k_max)
-    for start in range(0, ks.size, rows_per_block):
-        sel = slice(start, min(start + rows_per_block, ks.size))
-        kb = ks[sel]
-        log_fit = logs[kb][:, None] + gam[sel, None] * (np.log(kb)[:, None] - log_i[None, :])
-        dists[sel] = np.abs(logs[None, :k_max] - log_fit).max(axis=1)
-    return ks, dists
-
-
-def _full_scan_mindist(values, k_min=2, k_max=None) -> TailFit:
-    """select_k_mindist as a block scan over every candidate and every column."""
-    ks, dists = _full_scan_mindist_distances(values, k_min, k_max)
-    best_k = int(ks[int(np.argmin(dists))])
-    fit = hill(values, best_k)
-    return TailFit(alpha_hat=fit.alpha_hat, k=best_k, threshold=fit.threshold, method="mindist")
-
-
-def _full_scan_ks(values, min_exceedances=10) -> TailFit:
-    """select_k_ks as a block scan over every candidate and every exceedance."""
-    arr = np.asarray(values, dtype=float)
-    n = arr.size
-    if n < 20:
-        raise DomainError(f"need at least 20 values, got {n}")
-    pos = np.sort(arr[arr > 0])
-    distinct = np.unique(pos)
-    if distinct.size < min_exceedances:
-        raise DegenerateTailError(
-            f"need at least {min_exceedances} distinct positive values, got {distinct.size}"
-        )
-    m_total = pos.size
-    log_pos = np.log(pos)
-    suffix_log_sum = np.concatenate([np.cumsum(log_pos[::-1])[::-1], [0.0]])
-    first_idx = np.searchsorted(pos, distinct, side="left")
-    counts = m_total - first_idx
-    ok = counts >= min_exceedances
-    cand_idx, cand_val, cand_m = first_idx[ok], distinct[ok], counts[ok]
-    log_sums = suffix_log_sum[cand_idx] - cand_m * np.log(cand_val)
-    usable = log_sums > 0.0
-    if not np.any(usable):
-        raise DegenerateTailError("no usable threshold: exceedances carry no log spread")
-    cand_idx, cand_val, cand_m = cand_idx[usable], cand_val[usable], cand_m[usable]
-    a_hat = 1.0 + cand_m / log_sums[usable]
-
-    best = (np.inf, -1)
-    rows_per_block = max(1, _REFERENCE_CELLS // m_total)
-    for start in range(0, cand_val.size, rows_per_block):
-        sel = slice(start, min(start + rows_per_block, cand_val.size))
-        idx = cand_idx[sel]
-        lo = int(idx.min())
-        block = pos[None, lo:]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            fit_cdf = 1.0 - (cand_val[sel, None] / block) ** (a_hat[sel] - 1.0)[:, None]
-        pos_rank = np.arange(lo, m_total)[None, :]
-        within = pos_rank >= idx[:, None]
-        rank_in_tail = pos_rank - idx[:, None] + 1
-        m_col = cand_m[sel][:, None]
-        dev = np.maximum(np.abs(rank_in_tail / m_col - fit_cdf), np.abs((rank_in_tail - 1) / m_col - fit_cdf))
-        dev[~within] = -np.inf
-        dists = dev.max(axis=1)
-        j = int(np.argmin(dists))
-        if dists[j] < best[0]:
-            best = (float(dists[j]), start + j)
-    i = best[1]
-    return TailFit(alpha_hat=float(a_hat[i] - 1.0), k=int(cand_m[i]), threshold=float(cand_val[i]), method="ks")
-
-
 def _assert_same_outcome(rule, reference, values):
     """The rule returns the reference's TailFit, or raises its error with its message."""
     try:
@@ -446,27 +356,9 @@ def _assert_same_outcome(rule, reference, values):
     assert rule(values) == expected
 
 
-_SHAPES = ("pareto", "rounded", "flat", "quantiles", "ties")
-
-
-def _tail_sample(shape, n, alpha, seed, decimals=1):
-    rng = np.random.default_rng(seed)
-    v = (1 - rng.random(n)) ** (-1 / alpha)
-    if shape == "rounded":
-        return np.round(v, decimals)
-    if shape == "flat":  # an exact Pareto top glued onto a flat body
-        top = max(1, n // 10)
-        return np.concatenate([(top / np.arange(1, top + 1)) ** (1 / alpha), np.full(n - top, 0.9)])
-    if shape == "quantiles":
-        return (np.arange(1, n + 1) / n) ** (-1 / alpha)
-    if shape == "ties":
-        return rng.choice(np.round(v[:12], 2), size=n)
-    return v
-
-
 tail_samples = st.builds(
-    _tail_sample,
-    st.sampled_from(_SHAPES),
+    tail_sample,
+    st.sampled_from(SHAPES),
     st.integers(20, 400),
     st.floats(0.5, 5.0),
     st.integers(0, 2**32 - 1),
@@ -513,15 +405,15 @@ def test_rule_bounds_never_exceed_their_distances(values):
 @settings(max_examples=150, deadline=None)
 @given(tail_samples)
 def test_mindist_matches_full_scan(values):
-    _assert_same_outcome(select_k_mindist, _full_scan_mindist, values)
+    _assert_same_outcome(select_k_mindist, full_scan_mindist, values)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tail_samples)
 # np.log of a reversed view of the positive values would shift alpha_hat by one ulp here
-@example(_tail_sample("pareto", 20, 4.345309203548877, 0, 0))
+@example(tail_sample("pareto", 20, 4.345309203548877, 0, 0))
 def test_ks_matches_full_scan(values):
-    _assert_same_outcome(select_k_ks, _full_scan_ks, values)
+    _assert_same_outcome(select_k_ks, full_scan_ks, values)
 
 
 def _counting_prune(evaluated):
@@ -540,7 +432,7 @@ def _assert_rows_match_full_scan(rows):
     outcomes = []
     for row in rows:
         try:
-            outcomes.append(_full_scan_mindist_distances(row))
+            outcomes.append(full_scan_mindist_distances(row))
         except EccError as exc:
             outcomes.append(exc)
     errors = [o for o in outcomes if isinstance(o, DomainError)]
@@ -560,7 +452,7 @@ def _assert_rows_match_full_scan(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(st.tuples(st.integers(20, 2000), st.sampled_from([1, 2, 7])).flatmap(lambda n_rows: st.lists(
-    st.builds(_tail_sample, st.sampled_from(_SHAPES), st.just(n_rows[0]), st.floats(0.5, 5.0),
+    st.builds(tail_sample, st.sampled_from(SHAPES), st.just(n_rows[0]), st.floats(0.5, 5.0),
               st.integers(0, 2**32 - 1), st.integers(0, 2)),
     min_size=n_rows[1], max_size=n_rows[1])))
 def test_mindist_rows_match_full_scan(rows):
@@ -585,8 +477,8 @@ def test_mindist_rows_search_past_the_minimum_bound_and_stay_exact():
     # candidate: both leave rows whose minimum-bound candidate does not end the search
     cfg = DgpConfig(rho=invert_oracle(0.7, 3.0), alpha=3.0, n=2000, J=20)
     dgp = [pair_radii(*draw_paired(np.random.default_rng(s), cfg)) for s in np.random.SeedSequence(8).spawn(8)]
-    hard = [_tail_sample("flat", 2000, 1.5, 0), _tail_sample("flat", 2000, 3.0, 0),
-            _tail_sample("rounded", 2000, 3.0, 13), _tail_sample("pareto", 2000, 1.5, 1)]
+    hard = [tail_sample("flat", 2000, 1.5, 0), tail_sample("flat", 2000, 3.0, 0),
+            tail_sample("rounded", 2000, 3.0, 13), tail_sample("pareto", 2000, 1.5, 1)]
     evaluated = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tail, "_prune_argmin", _counting_prune(evaluated))
@@ -622,23 +514,23 @@ def test_hill_series_matches_reference_bit_for_bit(values, frac):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("shape", SHAPES)
 def test_mindist_matches_full_scan_at_n_20000(shape):
-    _assert_same_outcome(select_k_mindist, _full_scan_mindist, _tail_sample(shape, 20_000, 3.0, 5))
+    _assert_same_outcome(select_k_mindist, full_scan_mindist, tail_sample(shape, 20_000, 3.0, 5))
 
 
 @pytest.mark.parametrize("shape,n", [("rounded", 20_000), ("flat", 20_000), ("ties", 20_000),
                                      ("quantiles", 4_000), ("pareto", 4_000)])
 def test_ks_matches_full_scan_at_large_n(shape, n):
-    _assert_same_outcome(select_k_ks, _full_scan_ks, _tail_sample(shape, n, 3.0, 5))
+    _assert_same_outcome(select_k_ks, full_scan_ks, tail_sample(shape, n, 3.0, 5))
 
 
 def test_rules_match_full_scan_on_dgp_radii():
     for s in np.random.SeedSequence(77).spawn(3):
         cfg = DgpConfig(rho=invert_oracle(0.5, 3.0), alpha=3.0, n=2000, J=20)
         radii = pair_radii(*draw_paired(np.random.default_rng(s), cfg))
-        assert select_k_mindist(radii) == _full_scan_mindist(radii)
-        assert select_k_ks(radii) == _full_scan_ks(radii)
+        assert select_k_mindist(radii) == full_scan_mindist(radii)
+        assert select_k_ks(radii) == full_scan_ks(radii)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
