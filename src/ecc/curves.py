@@ -7,11 +7,10 @@ norms carry the uniform grid weight 1/J, so they approximate the usual
 integrals on [0, 1]. Summations run through ``np.sum`` (pairwise
 accumulation), which keeps results stable for grids up to ~1e6 points.
 
-The estimators' curve arithmetic is all here. ``_margin_rows`` forms their
-rows ``(x - mean) * factor`` (centered and, once the transform fired, scaled
-curves) a block at a time; the row kernels ``_norms`` and ``_inner_products``,
-of which ``norm`` and ``inner_product`` are one-row views, reduce them. An
-overflow in any of them raises DomainError through ``_overflow_raises``.
+The estimators' curve arithmetic is all here: ``_margin_rows`` forms their rows
+``(x - mean) * factor`` a block at a time, the row kernels ``_norms`` and
+``_inner_products`` (``norm`` and ``inner_product`` are one-row views) reduce
+them, and an overflow in any of them raises DomainError (``_overflow_raises``).
 
 All functions are pure and never mutate their inputs.
 """
@@ -111,11 +110,7 @@ def _norms(arr: np.ndarray) -> np.ndarray:
 
 
 def _margin_rows(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarray | None, rows) -> np.ndarray:
-    """Rows ``rows`` (a slice or indices) of ``(arr - mean) * factors[:, None]``, with no copy of the rest of ``arr``.
-
-    ``mean`` None skips the centering and ``factors`` None the scaling; a
-    scaled value that overflows raises.
-    """
+    """Rows ``rows`` of ``(arr - mean) * factors[:, None]``; None skips a step, and a scaled overflow raises."""
     block = arr[rows] if mean is None else arr[rows] - mean
     if factors is None:
         return block
@@ -130,10 +125,7 @@ def _row_blocks(n: int, J: int, values: int = _BLOCK_VALUES) -> list[slice]:
 
 
 def _centered_norms(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarray | None = None) -> np.ndarray:
-    """``_norms`` of the ``_margin_rows`` of ``arr``, a row block at a time.
-
-    Each row's norm has the bits of the whole-array expression.
-    """
+    """``_norms`` of the ``_margin_rows`` of ``arr`` a row block at a time, with the whole-array expression's bits."""
     out = np.empty(arr.shape[0])
     for rows in _row_blocks(*arr.shape):
         out[rows] = _norms(_margin_rows(arr, mean, factors, rows))
