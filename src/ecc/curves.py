@@ -110,8 +110,11 @@ def _norms(arr: np.ndarray) -> np.ndarray:
 
 
 def _margin_rows(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarray | None, rows) -> np.ndarray:
-    """Rows ``rows`` of ``(arr - mean) * factors[:, None]``; None skips a step, and a scaled overflow raises."""
-    block = arr[rows] if mean is None else arr[rows] - mean
+    """Rows ``rows`` of ``(arr - mean) * factors[:, None]``; None skips a step, and either step's overflow raises."""
+    block = arr[rows]
+    if mean is not None:
+        with _overflow_raises("centered curves overflow"):
+            block = block - mean
     if factors is None:
         return block
     with _overflow_raises("transformed curves overflow"):
@@ -146,7 +149,7 @@ def norms(s) -> np.ndarray:
 def center(s) -> np.ndarray:
     """Subtract the pointwise sample mean curve from every curve."""
     arr = as_sample(s)
-    return arr - _mean_curve(arr)
+    return _margin_rows(arr, _mean_curve(arr), None, slice(None))
 
 
 def pair_radii(x, y) -> np.ndarray:

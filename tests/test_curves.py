@@ -137,6 +137,18 @@ def test_overflowing_inner_products_and_one_row_views_raise_without_warning():
                 op()
 
 
+def test_centered_values_that_overflow_raise_without_warning():
+    # the column sums stay finite (mean -1.2e306), but M - mean does not
+    x = np.ones((30, 4))
+    x[0], x[1:3] = np.finfo(float).max, -0.6 * np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^centered curves overflow$"):
+            center(x)
+        with pytest.raises(DomainError, match="^centered curves overflow$"):
+            _centered_norms(x, x.mean(axis=0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 10_001), st.integers(0, 2**32 - 1))
 @example(1, 0)

@@ -719,3 +719,13 @@ def test_an_overflowing_mean_curve_raises_a_domain_error_naming_the_sample():
         estimate_pipeline(ok, big)
     with pytest.raises(DomainError, match=r"^sample 1: the mean curve overflows$"):
         pairwise_matrix([ok, big, ok])
+
+
+def test_centered_values_that_overflow_raise_a_domain_error_naming_the_sample():
+    # the mean curve is finite (-1.2e306), but the largest curve minus it is not
+    ok, big = np.random.default_rng(0).standard_normal((30, 4)), np.ones((30, 4))
+    big[0], big[1:3] = np.finfo(float).max, -0.6 * np.finfo(float).max
+    with pytest.raises(DomainError, match=r"^x: centered curves overflow$"):
+        estimate_pipeline(big, ok)
+    with pytest.raises(DomainError, match=r"^sample 2: centered curves overflow$"):
+        pairwise_matrix([ok, ok, big])

@@ -79,9 +79,8 @@ def test_estimate_pipeline_matches_the_reference_pipeline(shape, n, alpha, seed,
         assert type(got) is type(want), (got, want)
         return
     assume(want.gap > 1e-9)
-    event(f"compared, transformed={want.transformed}, ties={len(got.ecc.exceedance_indices) > got.ecc.k}"
-          if not isinstance(got, EccError) else "library raised")
     assert not isinstance(got, EccError), (got, want)
+    event(f"compared, transformed={want.transformed}, tied r_k={len(got.ecc.exceedance_indices) > got.ecc.k}")
     _assert_matches(got, want)
 
 
