@@ -307,7 +307,7 @@ def test_replicate_rho_matches_the_grid_path(variant, k_method, k_fixed):
     assert np.max(np.abs(rho_hats - grid_rho[good])) <= 1e-12
 
 
-@pytest.mark.parametrize("k_method", ["mindist", "ks", "fixed"])
+@pytest.mark.parametrize("k_method", ["mindist", "ks"])
 def test_replicate_rho_k_fixed_fixes_k_whatever_the_method(k_method):
     cfg = DgpConfig(rho=0.5, alpha=3, n=200, J=20)
     rho_hats, ks, failed = replicate_rho(cfg, 3, 0, k_method=k_method, k_fixed=10)
