@@ -37,7 +37,6 @@ from .simulate import (
     basis,
     bias_experiment,
     draw_paired,
-    draw_symmetric_pareto,
     generate_concentrated,
     generate_paired,
     generate_shared_score,
@@ -74,7 +73,6 @@ __all__ = [
     "center",
     "chi_curve",
     "draw_paired",
-    "draw_symmetric_pareto",
     "ecc_report",
     "estimate_pipeline",
     "extremal_correlation",

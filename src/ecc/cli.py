@@ -36,6 +36,8 @@ _INTERNAL_EXIT = 1
 
 QGRID_MAX_POINTS = 10_000  # the most points a --qgrid may span, counted before any is made
 
+CONFIG_KEYS = ("rho_xy", "alpha", "n", "reps", "seed", "k_method", "k", "j", "noise_variance")
+
 
 def _write(fh, output) -> None:
     """Write a text, or a sample as a curve file a block of rows at a time, to an open text file."""
@@ -294,6 +296,9 @@ def _cfg_one(cfg: dict, key: str, conv, default=None):
 
 def _cmd_experiment(args) -> int:
     cfg = _parse_config(args.config)
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ParseError(f"unknown experiment config key(s): {', '.join(map(repr, unknown))}")
     targets = _cfg_list(cfg, "rho_xy", float)
     alphas = _cfg_list(cfg, "alpha", float)
     ns = _cfg_list(cfg, "n", int)
@@ -302,6 +307,8 @@ def _cmd_experiment(args) -> int:
     k_method = cfg.get("k_method", "mindist")
     if k_method not in K_METHODS:
         raise ParseError(f"bad k_method {k_method!r}")
+    if "k" in cfg and k_method != "fixed":
+        raise ParseError(f"config key 'k' needs k_method = fixed, got k_method = {k_method}")
     k_fixed = _cfg_one(cfg, "k", int) if k_method == "fixed" else None
     J = _cfg_one(cfg, "j", int, default=100)
     noise_variance = _cfg_one(cfg, "noise_variance", float, default=0.25)

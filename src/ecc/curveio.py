@@ -2,15 +2,16 @@
 
 The interchange format is plain CSV: one curve per row, one grid point per
 column, comma delimiter, period decimals, UTF-8. A single header row is
-allowed and auto-detected (``float`` rejects every cell); a data cell is a
-finite ``float`` literal of ASCII characters without ``_``. Values are written
-with 17 significant digits so a write/read round trip is bit-identical. A file
-is read a line at a time through Python's text layer (``_reading``, which
-config files go through too) and written a block of rows at a time, so its
-whole text is never held in memory. Each data row is appended to one float
-buffer (``array.array``) that grows in place by about 1/16 at a time and that
-the result shares, so a file or pipe is held once; the up-to-1/16 slack past
-the last row is never written, so it is not resident.
+allowed and auto-detected (``float`` rejects every cell), though none is
+written; a data cell is a finite ``float`` literal of ASCII characters without
+``_``. Values are written with 17 significant digits so a write/read round
+trip is bit-identical. A file is read a line at a time through Python's text
+layer (``_reading``, which config files go through too) and written a block
+of rows at a time, so its whole text is never held in memory. Each data row
+is appended to one float buffer (``array.array``) that grows in place by
+about 1/16 at a time and that the result shares, so a file or pipe is held
+once; the up-to-1/16 slack past the last row is never written, so it is not
+resident.
 """
 from __future__ import annotations
 
@@ -117,33 +118,29 @@ def parse_curve_file(path) -> np.ndarray:
         return _parse_lines(_text_lines(text, source), source)
 
 
-def _csv_blocks(sample, header: list[str] | None = None):
+def _csv_blocks(sample):
     """The CSV text of a sample (17 significant digits, exact round trip) as an iterator of row blocks.
 
-    The sample and header are checked at the call, before any text is made.
+    The sample is checked at the call, before any text is made.
     """
     arr = as_sample(sample)
-    if header is not None and len(header) != arr.shape[1]:
-        raise DomainError("header length must match the number of grid points")
     line = ",".join(["{:.17g}"] * arr.shape[1]) + "\n"
 
     def blocks():
-        if header is not None:
-            yield ",".join(header) + "\n"
         for rows in _row_blocks(*arr.shape):
             yield "".join([line.format(*values) for values in arr[rows].tolist()])
 
     return blocks()
 
 
-def format_curves(sample, header: list[str] | None = None) -> str:
-    """Render a sample as CSV text (17 significant digits, exact round trip)."""
-    return "".join(_csv_blocks(sample, header))
+def format_curves(sample) -> str:
+    """Render a sample as CSV text (17 significant digits, exact round trip), with no header row."""
+    return "".join(_csv_blocks(sample))
 
 
-def write_curve_file(path, sample, header: list[str] | None = None) -> None:
-    """Write a sample to a curve file, a block of rows at a time."""
-    blocks = _csv_blocks(sample, header)  # a bad sample or header raises before the file is made
+def write_curve_file(path, sample) -> None:
+    """Write a sample to a curve file, a block of rows at a time, with no header row."""
+    blocks = _csv_blocks(sample)  # a bad sample raises before the file is made
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(blocks)
 

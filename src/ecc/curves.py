@@ -121,9 +121,9 @@ def _margin_rows(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarray |
         return block * factors[rows, None]
 
 
-def _row_blocks(n: int, J: int, values: int = _BLOCK_VALUES) -> list[slice]:
-    """Consecutive row slices of an (n, J) array, each of at most ``values`` values (one row at least)."""
-    step = max(1, values // J)
+def _row_blocks(n: int, J: int) -> list[slice]:
+    """Consecutive row slices of an (n, J) array, each of at most ``_BLOCK_VALUES`` values (one row at least)."""
+    step = max(1, _BLOCK_VALUES // J)
     return [slice(i, i + step) for i in range(0, n, step)]
 
 

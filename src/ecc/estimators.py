@@ -138,7 +138,7 @@ def _radius_rows(nx, ny, inner_products, k_method: str, k: int | None) -> list[E
     radii = np.maximum(nx, ny)
     if k_method == "mindist":
         # select_k_mindist's Hill fit needs no repeat: a k >= 2 whose top k + 1 values tie already gives k = 0
-        ks = _mindist_rows(np.sort(radii, axis=1)[:, ::-1], 2, None)[0]
+        ks = _mindist_rows(np.sort(radii, axis=1)[:, ::-1])[0]
     out = []
     for b, ips in enumerate(inner_products):
         try:

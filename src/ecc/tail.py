@@ -40,6 +40,8 @@ from .errors import DegenerateTailError, DomainError
 _PROBES = 64
 # Deviations computed at once for the mindist bounds (candidates x probe columns x rows), capping their memory.
 _BOUND_CELLS = 1 << 14
+# The fewest observations at or above a KS candidate threshold (Clauset, Shalizi & Newman 2009).
+_MIN_EXCEEDANCES = 10
 
 K_METHODS = ("fixed", "mindist", "ks")  # the k rules of select_k
 
@@ -128,7 +130,11 @@ def hill_series(values, k_max: int | None = None) -> HillSeries:
     """Hill estimates for k = 1..k_max (default: positive values - 1), alpha_hat +- 1.96 alpha_hat/sqrt(k) bounds."""
     v = _sorted_desc(values)
     n = v.size
-    k_max = int(np.count_nonzero(v > 0)) - 1 if k_max is None else k_max
+    if k_max is None:
+        positive = int(np.count_nonzero(v > 0))
+        if positive < 3:
+            raise DomainError(f"need at least 3 positive values, got {positive}")
+        k_max = positive - 1
     if not 2 <= k_max <= n - 1:
         raise DomainError(f"k_max={k_max} out of range [2, {n - 1}]")
     _check_top_positive(v, k_max + 1)
@@ -173,10 +179,10 @@ def _mindist_dev(log_v, log_vk, gamma, log_ratio):
     return np.abs(dev, out=dev)
 
 
-def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
+def _mindist_rows(vs: np.ndarray):
     """The k select_k_mindist picks on each row of ``vs`` (rows of descending finite data), its distance, and the bounds.
 
-    A row with tied top order statistics in its candidate range gets k = 0
+    A row with tied top order statistics in the candidate range gets k = 0
     (and distance 0; ``_mindist_k`` raises for it). A candidate's bound is its
     largest deviation over about ``_PROBES`` geometrically spaced columns i;
     the bounds of all rows are taken at once. Each row then runs
@@ -186,18 +192,15 @@ def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
     rows, n = vs.shape
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
-    if k_max is None:
-        k_max = min(max(3, int(0.15 * n)), n - 1)
-    if not (2 <= k_min < k_max <= n - 1):
-        raise DomainError(f"invalid candidate range [{k_min}, {k_max}] for n={n}")
+    k_max = min(max(3, int(0.15 * n)), n - 1)  # the candidates are k = 2..k_max
     _check_top_positive(vs, k_max + 1)
 
     logs, k_all, log_sums = _hill_log_sums(vs, k_max)
     gammas = log_sums / k_all  # 1/alpha_hat(k)
-    tied = np.any(gammas[:, k_min - 1 :] <= 0.0, axis=1)
+    tied = np.any(gammas[:, 1:] <= 0.0, axis=1)
     cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
-    log_i, log_k = np.log(np.arange(1, k_max + 1)), np.log(np.arange(k_min, k_max + 1))
-    log_v, log_vk, gam = logs[:, :k_max], logs[:, k_min:], gammas[:, k_min - 1 :]
+    log_i, log_k = np.log(np.arange(1, k_max + 1)), np.log(np.arange(2, k_max + 1))
+    log_v, log_vk, gam = logs[:, :k_max], logs[:, 2:], gammas[:, 1:]
 
     # probe columns a chunk at a time, so a chunk's deviations hold at most about _BOUND_CELLS values
     step = max(1, _BOUND_CELLS // (rows * log_k.size))
@@ -213,7 +216,7 @@ def _mindist_rows(vs: np.ndarray, k_min: int, k_max: int | None):
             return float(_mindist_dev(log_v[b], log_vk[b, c], gam[b, c], log_k[c] - log_i).max())
 
         best[b], dists[b] = _prune_argmin(bounds[b], distance)
-    return np.where(tied, 0, best + k_min), dists, bounds
+    return np.where(tied, 0, best + 2), dists, bounds
 
 
 def _mindist_k(k) -> int:
@@ -223,19 +226,19 @@ def _mindist_k(k) -> int:
     return int(k)
 
 
-def select_k_mindist(values, k_min: int = 2, k_max: int | None = None) -> TailFit:
+def select_k_mindist(values) -> TailFit:
     """Pick k by minimizing the distance between empirical and fitted tail quantiles.
 
-    The top ``k_max`` order statistics form the comparison block. For each
-    candidate k in [k_min, k_max] the Hill fit at k implies the Pareto
-    quantiles V_(k+1) * (k/i)^(1/alpha_hat(k)); the candidate's distance is
-    the sup over the whole block of the absolute log-quantile deviations
+    The candidates are k = 2..k_max, k_max = min(max(3, 0.15 n), n - 1): the
+    top 15% of the sample is the customary scan region for this rule. The top
+    k_max order statistics form the comparison block. For each candidate k
+    the Hill fit at k implies the Pareto quantiles
+    V_(k+1) * (k/i)^(1/alpha_hat(k)); the candidate's distance is the sup over
+    the whole block of the absolute log-quantile deviations
     |log V_(i) - log fitted_i|, i = 1..k_max. Ties break toward smaller k.
-    Candidates default to [2, 0.15 n]; the top 15% of the sample is the
-    customary scan region for this rule.
     """
     v = _sorted_desc(values)
-    return _hill_fit(v, _mindist_k(_mindist_rows(v[None, :], k_min, k_max)[0][0]), "mindist")
+    return _hill_fit(v, _mindist_k(_mindist_rows(v[None, :])[0][0]), "mindist")
 
 
 def _ks_dev(val, a1, m, r, w):
@@ -249,19 +252,17 @@ def _ks_dev(val, a1, m, r, w):
     return np.maximum(np.abs(r / m - f), np.abs((r - 1) / m - f))
 
 
-def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
+def select_k_ks(values) -> TailFit:
     """Pick the tail threshold by minimizing the KS distance to a fitted power law.
 
-    Every distinct positive value that leaves at least ``min_exceedances``
-    observations at or above it is a candidate threshold. For each candidate
-    the continuous power-law density exponent is fitted by maximum likelihood
-    over the exceedances and the KS distance between their empirical
-    distribution and the fitted one is computed. The reported alpha_hat is the
+    Every distinct positive value that leaves at least 10 observations at or
+    above it is a candidate threshold. For each candidate the continuous
+    power-law density exponent is fitted by maximum likelihood over the
+    exceedances and the KS distance between their empirical distribution and
+    the fitted one is computed. The reported alpha_hat is the
     survival-function tail index, i.e. the ML density exponent minus one; k is
     the number of values at or above the winning threshold.
     """
-    if min_exceedances < 1:
-        raise DomainError(f"min_exceedances must be >= 1, got {min_exceedances}")
     v = _sorted_desc(values)
     n = v.size
     if n < 20:
@@ -271,16 +272,16 @@ def select_k_ks(values, min_exceedances: int = 10) -> TailFit:
     starts = np.ones(pos.size, dtype=bool)  # the first of each run of equal values in ``pos``
     starts[1:] = pos[1:] != pos[:-1]
     first_idx = np.flatnonzero(starts)
-    if first_idx.size < min_exceedances:
+    if first_idx.size < _MIN_EXCEEDANCES:
         raise DegenerateTailError(
-            f"need at least {min_exceedances} distinct positive values, got {first_idx.size}"
+            f"need at least {_MIN_EXCEEDANCES} distinct positive values, got {first_idx.size}"
         )
 
     m_total = pos.size
     log_pos = np.log(pos)
     suffix_log_sum = np.cumsum(log_pos[::-1])[::-1]
     counts = m_total - first_idx
-    ok = counts >= min_exceedances
+    ok = counts >= _MIN_EXCEEDANCES
     cand_idx = first_idx[ok]
     cand_val = pos[cand_idx]
     cand_m = counts[ok]

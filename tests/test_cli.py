@@ -182,6 +182,16 @@ def test_hill_default_kmax_is_the_pipelines_rule(capsys, tmp_path, monkeypatch):
     assert np.array_equal(rows[:, 1], series.alpha_hat)
 
 
+def test_hill_with_too_few_positive_norms_exits_3_naming_the_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    x = np.zeros((30, 4))
+    x[0], x[1] = 5.0, 3.0  # uncentered, two positive norms
+    write_curve_file("x.csv", x)
+    code, out, err = run_cli(capsys, "hill", "--input", "x.csv", "--no-center")
+    assert (code, out) == (3, "")
+    assert _error(err)["message"] == "need at least 3 positive values, got 2"
+
+
 def test_estimate_hill_fit_whose_top_ratio_overflows_is_not_zero(capsys, tmp_path, monkeypatch):
     # five huge constant curves over a tiny body: V_(1) / V_(k+1) overflows for every k up to 195
     monkeypatch.chdir(tmp_path)
@@ -340,6 +350,14 @@ def test_simulate_negative_seed_exits_3_naming_it(capsys, tmp_path):
     assert _error(err)["message"].startswith("seed must be nonnegative")
 
 
+def test_simulate_infinite_alpha_exits_3_naming_it(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--alpha", "inf", "--n", "20", "--seed", "1",
+                           "--out-x", str(tmp_path / "x.csv"), "--out-y", str(tmp_path / "y.csv"))
+    assert code == 3
+    assert _error(err)["message"] == "alpha must exceed 2 and be finite, got inf"
+    assert not list(tmp_path.iterdir())
+
+
 _TINY_EXPERIMENT = "rho_xy = 0.5\nalpha = 3\nn = 60\nreps = 2\nk_method = fixed\nk = 8\nj = 20\n"
 
 
@@ -348,6 +366,7 @@ _TINY_EXPERIMENT = "rho_xy = 0.5\nalpha = 3\nn = 60\nreps = 2\nk_method = fixed\
     ("seed = 3\n", ["--threads", "-3"], "threads"),
     ("seed = -4\n", [], "seed"),
     ("seed = 3\nnoise_variance = nan\n", [], "noise_variance"),
+    ("seed = 3\nalpha = inf\n", [], "alpha"),
 ])
 def test_experiment_bad_run_parameter_exits_3_naming_it(capsys, tmp_path, extra, argv, name):
     config = tmp_path / "exp.cfg"
@@ -426,6 +445,22 @@ def test_experiment_config_lines_end_only_at_line_ends(capsys, tmp_path):
     code, _, err = run_cli(capsys, "experiment", "--config", str(config))
     assert code == 2
     assert _error(err)["message"] == "experiment config is missing required key 'alpha'"
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["noise_varience = 9"], "unknown experiment config key(s): 'noise_varience'"),
+    (["thread = 2", "k_metod = ks"], "unknown experiment config key(s): 'thread', 'k_metod'"),
+    (["k_method = mindist", "k = 20"], "config key 'k' needs k_method = fixed, got k_method = mindist"),
+    (["k = 20"], "config key 'k' needs k_method = fixed, got k_method = mindist"),
+    (["k_method = ks", "k = 20"], "config key 'k' needs k_method = fixed, got k_method = ks"),
+])
+def test_experiment_config_rejects_keys_it_would_ignore(capsys, tmp_path, lines, message):
+    # a typo, or a k that no k rule but fixed reads, must not run the table as if it were absent
+    config = tmp_path / "exp.cfg"
+    config.write_text("rho_xy = 0.5\nalpha = 3\nn = 60\nreps = 2\nseed = 3\nj = 20\n" + "\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "experiment", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert _error(err) == {"code": 2, "operation": "experiment", "type": "ParseError", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -153,7 +153,7 @@ def test_round_trip_bit_identical(tmp_path):
 def test_round_trip_with_header(tmp_path):
     sample = np.array([[0.1, 0.2], [0.3, 0.4]])
     path = tmp_path / "s.csv"
-    write_curve_file(path, sample, header=["a", "b"])
+    path.write_text("a,b\n" + format_curves(sample))
     assert parse_curve_file(path).shape == (2, 2)
 
 
@@ -169,8 +169,8 @@ finite_samples = arrays(
 @example(np.array([[-0.0], [5e-324], [1e308], [-1e308]]), True)
 @example(np.array([[-0.0, 2.2250738585072014e-308, -1.7976931348623157e308]]), False)
 def test_format_parse_round_trip_is_bit_identical(sample, with_header):
-    header = [f"t{j}" for j in range(sample.shape[1])] if with_header else None
-    back = parse_text(format_curves(sample, header))
+    header = ",".join(f"t{j}" for j in range(sample.shape[1])) + "\n" if with_header else ""
+    back = parse_text(header + format_curves(sample))
     assert np.array_equal(back, sample)
     assert back.tobytes() == sample.tobytes()
 
@@ -233,8 +233,8 @@ def valid_csv_texts(draw):
     """A sample's CSV text with mixed line ends and blank lines, perhaps a header."""
     sample = draw(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4),
                          elements=st.floats(-1e6, 1e6)))
-    lines = format_curves(sample, [f"t{j}" for j in range(sample.shape[1])] if draw(st.booleans()) else None)
-    lines = lines.splitlines()
+    header = ",".join(f"t{j}" for j in range(sample.shape[1])) + "\n" if draw(st.booleans()) else ""
+    lines = (header + format_curves(sample)).splitlines()
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", ","])))
     return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
@@ -284,7 +284,7 @@ def test_a_pipe_parses_as_a_file_of_the_same_bytes(text):
 
 def test_piped_input_grows_its_buffer_and_parses_as_the_file_does(tmp_path):
     sample = np.random.default_rng(3).standard_normal((3073, 5))  # several pipe buffers of text
-    data = format_curves(sample, [f"t{j}" for j in range(5)]).encode()
+    data = (",".join(f"t{j}" for j in range(5)) + "\n" + format_curves(sample)).encode()
     (tmp_path / "s.csv").write_bytes(data)
     from_file = parse_curve_file(tmp_path / "s.csv")
     with fifo_of(data) as fifo:
@@ -311,27 +311,19 @@ def test_invalid_utf8_is_reported_where_the_parser_reaches_it(tmp_path, content,
     assert ("cannot read as UTF-8 text" in str(err.value)) == utf8
 
 
-@pytest.mark.parametrize("with_header", [False, True])
-def test_file_bytes_equal_the_formatted_text_at_block_edges(tmp_path, with_header):
+def test_file_bytes_equal_the_formatted_text_at_block_edges(tmp_path):
     J = 50
     B = _row_blocks(1, J)[0].stop  # rows per formatted block
     rng = np.random.default_rng(5)
-    header = [f"t{j}" for j in range(J)] if with_header else None
     line = ",".join(["{:.17g}"] * J) + "\n"
     for n in (1, B - 1, B, B + 1, 3 * B + 2):
         sample = rng.standard_normal((n, J)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
-        text = format_curves(sample, header)
+        text = format_curves(sample)
         # one row template over the whole sample: the text the blocks must add up to
-        assert text == "".join(([",".join(header) + "\n"] if header else []) +
-                               [line.format(*row) for row in sample.tolist()])
-        write_curve_file(tmp_path / "s.csv", sample, header)
+        assert text == "".join([line.format(*row) for row in sample.tolist()])
+        write_curve_file(tmp_path / "s.csv", sample)
         assert (tmp_path / "s.csv").read_bytes() == text.encode()
         assert parse_curve_file(tmp_path / "s.csv").tobytes() == sample.tobytes()
-
-
-def test_format_header_length_checked():
-    with pytest.raises(DomainError):
-        format_curves(np.ones((2, 3)), header=["only", "two"])
 
 
 def test_resample_identity():

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from ecc import (
     basis,
     bias_experiment,
     draw_paired,
-    draw_symmetric_pareto,
     generate_concentrated,
     generate_paired,
     generate_shared_score,
@@ -26,7 +26,7 @@ from ecc import (
 from ecc import simulate
 from ecc.errors import DegenerateSampleError, DegenerateTailError
 from ecc.estimators import _exceedances, _paired
-from ecc.simulate import _BLOCK, _gram_norms
+from ecc.simulate import _BLOCK, _gram_norms, _symmetric_pareto
 
 # frozen with mpmath at 30 digits: 0.5 / sqrt(0.25 + 0.75^1.5)
 ORACLE_HALF_ALPHA3 = 0.527187156166255
@@ -55,23 +55,18 @@ def test_basis_rejects_bad_orders():
 
 
 def test_pareto_support_minimum():
-    assert draw_symmetric_pareto(3.0, 1.0, 0.0) == pytest.approx(1.0)
+    assert _symmetric_pareto(3.0, 1.0, 0.0) == pytest.approx(1.0)
 
 
 def test_pareto_hand_values():
-    assert draw_symmetric_pareto(3.0, 0.125, 0.0) == pytest.approx(2.0, abs=1e-12)
-    assert draw_symmetric_pareto(3.0, 0.125, 0.9) == pytest.approx(-2.0, abs=1e-12)
-
-
-def test_pareto_rejects_zero_u():
-    with pytest.raises(DomainError):
-        draw_symmetric_pareto(3.0, 0.0, 0.1)
+    assert _symmetric_pareto(3.0, 0.125, 0.0) == pytest.approx(2.0, abs=1e-12)
+    assert _symmetric_pareto(3.0, 0.125, 0.9) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_pareto_marginal_law():
     rng = np.random.default_rng(42)
     n = 100_000
-    z = draw_symmetric_pareto(3.0, 1.0 - rng.random(n), rng.random(n))
+    z = _symmetric_pareto(3.0, 1.0 - rng.random(n), rng.random(n))
     mag = np.abs(z)
     for level in (1.0, 2.0, 4.0, 8.0):
         p = level**-3.0
@@ -124,6 +119,29 @@ def test_config_validation():
                          ({"noise_variance": np.inf}, "noise_variance"), ({"seed": -1}, "seed")):
         with pytest.raises(DomainError, match=f"^{name} must"):
             DgpConfig(**{"rho": 0.0, "alpha": 3.0, "n": 10, **kwargs})
+
+
+# name: (a call at alpha, the bound alpha must exceed): the special generators need a finite
+# alpha > 0, the base generator and its oracles a finite alpha > 2
+_ALPHA_DOMAINS = {
+    "generate_shared_score": (lambda a: generate_shared_score(n=20, alpha=a, J=5), 0),
+    "generate_concentrated": (lambda a: generate_concentrated(axis=1, n=20, alpha=a, J=5), 0),
+    "DgpConfig": (lambda a: DgpConfig(rho=0.5, alpha=a, n=10), 2),
+    "oracle_rho": (lambda a: oracle_rho(0.5, a), 2),
+    "invert_oracle": (lambda a: invert_oracle(0.5, a), 2),
+}
+
+
+@pytest.mark.parametrize("name,alpha", [
+    (name, alpha) for name, (_, floor) in _ALPHA_DOMAINS.items()
+    for alpha in [np.nan, np.inf, -np.inf, 0.0, -1.0] + [2.0] * (floor == 2)
+])
+def test_alpha_outside_its_domain_raises_naming_alpha(name, alpha):
+    call, floor = _ALPHA_DOMAINS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^alpha must exceed {floor} and be finite, got {alpha}$"):
+            call(alpha)
 
 
 # sha256 of x.tobytes() and y.tobytes(): draw_paired shares its score drawer with

@@ -134,6 +134,15 @@ def test_hill_series_k_max_out_of_range():
         hill_series([3.0, 2.0, 1.0], 3)
 
 
+@pytest.mark.parametrize("values,positive", [([5.0, 0, 0, 0], 1), ([5.0, 3, 0, 0], 2), ([0.0, -1, -2], 0)])
+def test_hill_series_default_k_max_needs_three_positive_values(values, positive):
+    # the default k_max is the positive count minus 1: too few positives name the count, not a k_max
+    with pytest.raises(DomainError, match=f"^need at least 3 positive values, got {positive}$"):
+        hill_series(np.array(values))
+    with pytest.raises(DomainError, match=r"^k_max=2 out of range \[2, 1\]$"):
+        hill_series(np.array(values[:2]), 2)  # a given k_max keeps its own message
+
+
 # --- select_k_mindist ---------------------------------------------------
 
 
@@ -159,7 +168,7 @@ def test_mindist_matches_brute_force():
     rng = np.random.default_rng(21)
     for _ in range(5):
         v = (1 - rng.random(80)) ** (-1 / 2.2) * (1 + 0.1 * rng.random(80))
-        (k,), (dist,), _ = _mindist_rows(np.sort(v)[::-1][None, :], 2, None)
+        (k,), (dist,), _ = _mindist_rows(np.sort(v)[::-1][None, :])
         fit = select_k_mindist(v)
         bk, bd = _brute_force_mindist(v)
         assert fit.k == k == bk
@@ -199,12 +208,6 @@ def test_mindist_k_within_candidate_range():
 def test_mindist_small_sample_rejected():
     with pytest.raises(DomainError):
         select_k_mindist(np.arange(1.0, 11.0))
-
-
-def test_mindist_bad_range_rejected():
-    v = np.arange(1.0, 41.0)
-    with pytest.raises(DomainError):
-        select_k_mindist(v, k_min=10, k_max=5)
 
 
 def test_mindist_average_k_on_dgp_radii():
@@ -280,14 +283,6 @@ def test_ks_all_equal_is_degenerate():
 def test_ks_too_small_rejected():
     with pytest.raises(DomainError):
         select_k_ks(np.arange(1.0, 11.0))
-
-
-def test_ks_rejects_min_exceedances_below_one():
-    v = (1 - np.random.default_rng(8).random(100)) ** (-1 / 3.0)
-    for bad in (0, -3):
-        with pytest.raises(DomainError, match="min_exceedances"):
-            select_k_ks(v, min_exceedances=bad)
-    assert select_k_ks(v, min_exceedances=1).k >= 1
 
 
 def test_ks_deterministic():
@@ -438,9 +433,9 @@ def _assert_rows_match_full_scan(rows):
     errors = [o for o in outcomes if isinstance(o, DomainError)]
     if errors:  # a domain error in any row fails the batch with the first one's message
         with pytest.raises(DomainError, match=f"^{re.escape(str(errors[0]))}$"):
-            _mindist_rows(vs, 2, None)
+            _mindist_rows(vs)
         return
-    ks, dists, bounds = _mindist_rows(vs, 2, None)
+    ks, dists, bounds = _mindist_rows(vs)
     for k, dist, bound, outcome in zip(ks, dists, bounds, outcomes):
         if isinstance(outcome, DegenerateTailError):
             assert k == 0
