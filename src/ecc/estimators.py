@@ -15,10 +15,11 @@ that interval to absorb last-ulp rounding.
 One pass, ``_exceedances``, computes all three. It reads a sample only through
 the margins' norms, the radii and ``inner_products(idx)``, the <x_i, y_i> of
 the exceedances, which each caller reads from its own storage: grid rows,
-transformed rows or basis scores. One radius stage, ``_radius_rows`` (k chosen
-on the radii, then the pass), ends every estimate: ``estimate_pipeline`` and
-each ``pairwise_matrix`` pair are one row of it, and a block of Monte Carlo
-replications is one call.
+transformed rows or basis scores. One radius stage, ``_radius_rows`` (each
+row's radii sorted once, k chosen on them by ``select_k``'s dispatcher, then
+the pass with the r_k read there), ends every estimate: ``estimate_pipeline``
+and each ``pairwise_matrix`` pair are one row of it, and a block of Monte
+Carlo replications is one call. The public estimators take r_k from ``order_statistic``.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .curves import _centered_norms, _inner_products, _margin_rows, _mean_curve, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
-from .tail import HillSeries, TailFit, _check_k_method, _mindist_k, _mindist_rows, hill_series, select_k
+from .tail import HillSeries, TailFit, _check_k_method, _finite_vector, _index, _k_rule, _tail
 from .transform import _power_scales
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -66,20 +67,20 @@ class PipelineReport:
 
 
 def order_statistic(values, k: int) -> float:
-    """The k-th largest value, k = 1..n, duplicates counted with multiplicity."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError("values must be a 1-d sequence")
+    """The k-th largest of finite values, k = 1..n, duplicates counted with multiplicity."""
+    arr = _finite_vector(values)
+    k = _index(k, "k")
     if not 1 <= k <= arr.size:
         raise DomainError(f"k={k} out of range [1, {arr.size}]")
     return float(np.partition(arr, arr.size - k)[arr.size - k])
 
 
-def _paired(x, y):
-    """Validate a pair once; return what ``_exceedances`` reads of it."""
+def _paired(x, y, k):
+    """Validate a pair, then k, once; return what ``_exceedances`` reads of them, r_k by ``order_statistic``."""
     xs, ys = check_paired(x, y)
     nx, ny = _norms(xs), _norms(ys)
-    return nx, ny, np.maximum(nx, ny), lambda idx: _inner_products(xs[idx], ys[idx])
+    radii = np.maximum(nx, ny)
+    return nx, ny, radii, lambda idx: _inner_products(xs[idx], ys[idx]), k, order_statistic(radii, k)
 
 
 def _over_root(num: float, a: float, b: float) -> float:
@@ -96,13 +97,12 @@ def _over_root(num: float, a: float, b: float) -> float:
     return math.ldexp(num, -h) / np.sqrt(math.ldexp(ma * mb, ea + eb - 2 * h))
 
 
-def _exceedances(nx, ny, radii, inner_products, k: int, rho_required: bool = True) -> EccReport:
-    """The exceedance pass; with ``rho_required=False`` a vanishing rho denominator gives rho_xy = nan.
+def _exceedances(nx, ny, radii, inner_products, k: int, r_k: float, rho_required: bool = True) -> EccReport:
+    """The pass over radii >= r_k, the k-th largest; with ``rho_required=False`` a zero rho denominator gives nan.
 
     Sums that overflow, and a sigma denominator k r_k^2 that is not a normal
     float, raise DomainError; rho is exact for any finite sums.
     """
-    r_k = order_statistic(radii, k)
     if r_k <= 0.0:
         raise DegenerateSampleError(f"fewer than k={k} pairs with a nonzero curve")
     idx = np.flatnonzero(radii >= r_k)
@@ -127,23 +127,22 @@ def _exceedances(nx, ny, radii, inner_products, k: int, rho_required: bool = Tru
 
 
 def _radius_rows(nx, ny, inner_products, k_method: str, k: int | None) -> list[EccReport | EccError]:
-    """The radius stage on rows of paired samples: k chosen on each row's radii, then the exceedance pass.
+    """The radius stage on rows of paired samples: each row's radii sorted once, k chosen on them, then the pass.
 
     Row b is one paired sample: its norms ``nx[b]``, ``ny[b]`` and its reader
-    ``inner_products[b]``. mindist chooses every row's k in one
-    ``_mindist_rows`` call; the other rules go through ``select_k`` row by
-    row. Returns each row's EccReport, or the DegenerateSampleError or
-    DegenerateTailError the row raised; a DomainError aborts the stage.
+    ``inner_products[b]``. ``_k_rule`` chooses k (mindist every row's at once)
+    and r_k is read from the sorted row. Returns each row's EccReport, or the
+    DegenerateSampleError or DegenerateTailError the row raised; a DomainError
+    aborts the stage.
     """
     radii = np.maximum(nx, ny)
-    if k_method == "mindist":
-        # select_k_mindist's Hill fit needs no repeat: a k >= 2 whose top k + 1 values tie already gives k = 0
-        ks = _mindist_rows(np.sort(radii, axis=1)[:, ::-1])[0]
+    vs = np.sort(radii, axis=1)[:, ::-1]
+    fit = _k_rule(vs, k_method, k)
     out = []
     for b, ips in enumerate(inner_products):
         try:
-            k_b = _mindist_k(ks[b]) if k_method == "mindist" else select_k(radii[b], k_method, k).k
-            out.append(_exceedances(nx[b], ny[b], radii[b], ips, k_b))
+            k_b = fit(b).k
+            out.append(_exceedances(nx[b], ny[b], radii[b], ips, k_b, float(vs[b, k_b - 1])))
         except (DegenerateSampleError, DegenerateTailError) as exc:
             out.append(exc)
     return out
@@ -151,7 +150,7 @@ def _radius_rows(nx, ny, inner_products, k_method: str, k: int | None) -> list[E
 
 def extremal_covariance(x, y, k: int) -> float:
     """sigma_hat: mean scaled inner product over the k largest pairs."""
-    return _exceedances(*_paired(x, y), k, rho_required=False).sigma_xy
+    return _exceedances(*_paired(x, y, k), rho_required=False).sigma_xy
 
 
 def extremal_correlation(x, y, k: int) -> float:
@@ -161,12 +160,12 @@ def extremal_correlation(x, y, k: int) -> float:
 
 def angular_dependence(x, y, k: int) -> float:
     """gamma_hat: mean inner product of radius-normalized pairs over the exceedances."""
-    return _exceedances(*_paired(x, y), k, rho_required=False).gamma_xy
+    return _exceedances(*_paired(x, y, k), rho_required=False).gamma_xy
 
 
 def ecc_report(x, y, k: int) -> EccReport:
     """All three estimates on one exceedance set."""
-    return _exceedances(*_paired(x, y), k)
+    return _exceedances(*_paired(x, y, k))
 
 
 @contextmanager
@@ -196,7 +195,7 @@ def _pipelines(
         raise DomainError(f"alpha_target must be positive and finite, got {alpha_target}")
     if not tau >= 0:  # tau = inf is legal: the transform never fires
         raise DomainError(f"tau must be nonnegative, got {tau}")
-    k_method = _check_k_method(k_method, k)
+    k_method, k = _check_k_method(k_method, k)
 
     arrs = []
     for s, name in zip(samples, names):
@@ -208,13 +207,19 @@ def _pipelines(
                 f"{names[0]} and {name} must share n and J, got {arrs[0].shape} vs {arr.shape}"
             )
 
-    # a margin is its parsed sample and mean curve: no centered or transformed copy is
-    # made (peak memory); the norms read row blocks and the exceedance pass its own rows
+    # a margin is its parsed sample and mean curve: no centered or transformed copy, nor
+    # the tail of its norms, is kept (peak memory); the norms read row blocks and the
+    # exceedance pass its own rows
     def marginal_stage(arr, name):
         mean, nrm = _margin_norms(arr, name, do_center)
         with _naming(name):
-            fit = select_k(nrm, k_method, k)
-        return arr, mean, nrm, fit, _hill_series_or_none(nrm), name
+            tail = _tail(nrm)
+            fit = tail.fit(k_method, k)
+        try:  # the series is an advisory attachment: one that cannot be computed is omitted
+            series = tail.series()
+        except (DomainError, DegenerateTailError):
+            series = None
+        return arr, mean, nrm, fit, series, name
 
     margins = [marginal_stage(arr, name) for arr, name in zip(arrs, names)]
 
@@ -268,14 +273,6 @@ def estimate_pipeline(
     checks; nothing is auto-rejected on their account.
     """
     return _pipelines((x, y), ("x", "y"), k, k_method, alpha_target, tau, do_center)[(0, 1)]
-
-
-def _hill_series_or_none(values: np.ndarray) -> HillSeries | None:
-    # advisory attachment: a series that cannot be computed is simply omitted
-    try:
-        return hill_series(values)
-    except (DomainError, DegenerateTailError):
-        return None
 
 
 def pairwise_matrix(samples, return_reports: bool = False, **options):

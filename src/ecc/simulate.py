@@ -350,7 +350,7 @@ def replicate_rho(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     _check_run(seed, threads)
-    k_method = _check_k_method(k_method, k_fixed)
+    k_method, k_fixed = _check_k_method(k_method, k_fixed)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(reps)
     px = _basis_rows(cfg)

@@ -21,15 +21,16 @@ full distance only while the bound can still win. The bound takes its max over
 a subset of the very floating-point terms of the full distance, so it never
 exceeds it, and the search returns exactly the candidate a full scan would.
 
-``hill``, ``hill_series`` and the two k rules each validate and sort their input
-once (``_sorted_desc``), then work on that array through private kernels only;
-``select_k`` just dispatches to them. The quantile rule's kernel,
-``_mindist_rows``, takes one sample per row: the estimators' radius stage runs
-it on all of its rows at once (a block of Monte Carlo replications, or one
-pair), ``select_k_mindist`` on one row.
+Every entry point validates, sorts and logs its input once, into a ``_Tail``;
+a margin's fit and Hill series read one tail. One dispatcher, ``_k_rule``,
+runs the k rules on rows of descending values: a tail's one row, or the
+estimators' block of sorted radii. The quantile rule takes all rows at once
+(``_mindist_rows``) and reads a tail's Hill log-sums; the KS rule takes its own
+logs of the ascending positives.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +70,22 @@ class HillSeries:
         return self.k.size
 
 
-def _sorted_desc(values) -> np.ndarray:
-    """Validate values as a finite 1-d sequence and sort them descending: each entry point's one pass."""
+def _finite_vector(values) -> np.ndarray:
+    """``values`` as a float array, checked to be a finite 1-d sequence."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise DomainError("values must be a 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise DomainError("values must be finite")
-    return np.sort(arr)[::-1]
+    return arr
+
+
+def _index(value, name: str) -> int:
+    """An integer parameter as an int (NumPy integers too); anything else raises DomainError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_top_positive(v: np.ndarray, count: int) -> None:
@@ -86,7 +95,7 @@ def _check_top_positive(v: np.ndarray, count: int) -> None:
 
 
 def _hill_fit(v: np.ndarray, k: int, method: str) -> TailFit:
-    """``hill`` on descending finite data ``_sorted_desc`` returned, reported under ``method``."""
+    """``hill`` on descending finite ``v`` (a tail's values, or a row of them), reported under ``method``."""
     n = v.size
     if n < 2:
         raise DomainError("need at least 2 values")
@@ -104,46 +113,68 @@ def _hill_fit(v: np.ndarray, k: int, method: str) -> TailFit:
     return TailFit(alpha_hat=k / log_sum, k=k, threshold=float(threshold), method=method)
 
 
-def hill(values, k: int) -> TailFit:
-    """Hill estimate of the tail index from the k largest values.
-
-    Raises DomainError if k is out of [1, n-1], a value is not finite or any
-    of the top k+1 values is nonpositive, and DegenerateTailError when the top
-    k values all equal the threshold (zero log-sum).
-    """
-    return _hill_fit(_sorted_desc(values), k, "fixed")
-
-
 def _hill_log_sums(vs: np.ndarray, k_max: int):
-    """log V_(1..k_max+1), k = 1..k_max and the log-sums k/alpha_hat(k), per row of descending ``vs``.
+    """log V_(1..k_max+1) and the log-sums k/alpha_hat(k), k = 1..k_max, per row of descending ``vs``.
 
     The top k_max+1 values of each row are > 0. The logs are taken a row at a
     time: np.log of a 2-d reversed view runs another loop than of a 1-d one,
-    and the two can differ in the last ulp.
+    and the two can differ in the last ulp. Those to a smaller k_max are a prefix.
     """
     logs = np.stack([np.log(v[: k_max + 1]) for v in vs])
-    ks = np.arange(1, k_max + 1)
-    return logs, ks, np.cumsum(logs[:, :-1], axis=1) - ks * logs[:, 1:]
+    return logs, np.cumsum(logs[:, :-1], axis=1) - np.arange(1, k_max + 1) * logs[:, 1:]
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """One vector's tail (``_tail``): descending values, logs of the p positive ones, log-sums for k = 1..p-1."""
+
+    v: np.ndarray
+    logs: np.ndarray
+    log_sums: np.ndarray
+
+    def fit(self, method: str, k: int | None) -> TailFit:
+        """The tail fit of ``select_k`` for a method and k as ``_check_k_method`` returns them."""
+        return _k_rule(self.v[None, :], method, k, (self.logs[None, :], self.log_sums[None, :]))(0)
+
+    def series(self, k_max=None) -> HillSeries:
+        """``hill_series`` of this tail."""
+        if k_max is None:
+            if self.logs.size < 3:
+                raise DomainError(f"need at least 3 positive values, got {self.logs.size}")
+            k_max = self.logs.size - 1
+        k_max = _index(k_max, "k_max")
+        if not 2 <= k_max <= self.v.size - 1:
+            raise DomainError(f"k_max={k_max} out of range [2, {self.v.size - 1}]")
+        _check_top_positive(self.v, k_max + 1)
+        log_sums = self.log_sums[:k_max]
+        if np.any(log_sums <= 0.0):
+            raise DegenerateTailError("tied top order statistics; tail index undefined for some k")
+        ks = np.arange(1, k_max + 1)
+        alpha = ks / log_sums
+        half_width = 1.96 * alpha / np.sqrt(ks)
+        return HillSeries(k=ks, alpha_hat=alpha, ci_low=alpha - half_width, ci_high=alpha + half_width)
+
+
+def _tail(values) -> _Tail:
+    """Validate ``values`` as a finite 1-d sequence, sort it descending and take its Hill logs: the one pass."""
+    v = np.sort(_finite_vector(values))[::-1]
+    logs, (log_sums,) = _hill_log_sums(v[None, :], int(np.count_nonzero(v > 0)) - 1)
+    return _Tail(v, logs[0], log_sums)
+
+
+def hill(values, k: int) -> TailFit:
+    """Hill estimate of the tail index from the k largest values.
+
+    Raises DomainError if k is not an integer in [1, n-1], a value is not
+    finite or any of the top k+1 values is nonpositive, and DegenerateTailError
+    when the top k values all equal the threshold (zero log-sum).
+    """
+    return _tail(values).fit("fixed", _index(k, "k"))
 
 
 def hill_series(values, k_max: int | None = None) -> HillSeries:
     """Hill estimates for k = 1..k_max (default: positive values - 1), alpha_hat +- 1.96 alpha_hat/sqrt(k) bounds."""
-    v = _sorted_desc(values)
-    n = v.size
-    if k_max is None:
-        positive = int(np.count_nonzero(v > 0))
-        if positive < 3:
-            raise DomainError(f"need at least 3 positive values, got {positive}")
-        k_max = positive - 1
-    if not 2 <= k_max <= n - 1:
-        raise DomainError(f"k_max={k_max} out of range [2, {n - 1}]")
-    _check_top_positive(v, k_max + 1)
-    _, ks, (log_sums,) = _hill_log_sums(v[None, :], k_max)
-    if np.any(log_sums <= 0.0):
-        raise DegenerateTailError("tied top order statistics; tail index undefined for some k")
-    alpha = ks / log_sums
-    half_width = 1.96 * alpha / np.sqrt(ks)
-    return HillSeries(k=ks, alpha_hat=alpha, ci_low=alpha - half_width, ci_high=alpha + half_width)
+    return _tail(values).series(k_max)
 
 
 def _prune_argmin(bounds: np.ndarray, distance) -> tuple[int, float]:
@@ -179,15 +210,17 @@ def _mindist_dev(log_v, log_vk, gamma, log_ratio):
     return np.abs(dev, out=dev)
 
 
-def _mindist_rows(vs: np.ndarray):
+def _mindist_rows(vs: np.ndarray, sums=None):
     """The k select_k_mindist picks on each row of ``vs`` (rows of descending finite data), its distance, and the bounds.
 
-    A row with tied top order statistics in the candidate range gets k = 0
-    (and distance 0; ``_mindist_k`` raises for it). A candidate's bound is its
-    largest deviation over about ``_PROBES`` geometrically spaced columns i;
-    the bounds of all rows are taken at once. Each row then runs
-    ``_prune_argmin`` on its bounds, which computes a candidate's full row
-    i = 1..k_max only when its bound can still win.
+    ``sums`` are the rows' ``_hill_log_sums`` to at least k_max, as a tail
+    holds them; by default they are taken here. A row with tied top order
+    statistics in the candidate range gets k = 0 (and distance 0; ``_k_rule``
+    raises for it). A candidate's bound is its largest deviation over about
+    ``_PROBES`` geometrically spaced columns i; the bounds of all rows are
+    taken at once. Each row then runs ``_prune_argmin`` on its bounds, which
+    computes a candidate's full row i = 1..k_max only when its bound can still
+    win.
     """
     rows, n = vs.shape
     if n < 20:
@@ -195,12 +228,12 @@ def _mindist_rows(vs: np.ndarray):
     k_max = min(max(3, int(0.15 * n)), n - 1)  # the candidates are k = 2..k_max
     _check_top_positive(vs, k_max + 1)
 
-    logs, k_all, log_sums = _hill_log_sums(vs, k_max)
-    gammas = log_sums / k_all  # 1/alpha_hat(k)
+    logs, log_sums = _hill_log_sums(vs, k_max) if sums is None else sums
+    gammas = log_sums[:, :k_max] / np.arange(1, k_max + 1)  # 1/alpha_hat(k)
     tied = np.any(gammas[:, 1:] <= 0.0, axis=1)
     cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
     log_i, log_k = np.log(np.arange(1, k_max + 1)), np.log(np.arange(2, k_max + 1))
-    log_v, log_vk, gam = logs[:, :k_max], logs[:, 2:], gammas[:, 1:]
+    log_v, log_vk, gam = logs[:, :k_max], logs[:, 2 : k_max + 1], gammas[:, 1:]
 
     # probe columns a chunk at a time, so a chunk's deviations hold at most about _BOUND_CELLS values
     step = max(1, _BOUND_CELLS // (rows * log_k.size))
@@ -219,13 +252,6 @@ def _mindist_rows(vs: np.ndarray):
     return np.where(tied, 0, best + 2), dists, bounds
 
 
-def _mindist_k(k) -> int:
-    """A k ``_mindist_rows`` returned for a row, raising for a tied row's 0."""
-    if not k:
-        raise DegenerateTailError("tied top order statistics in the candidate range")
-    return int(k)
-
-
 def select_k_mindist(values) -> TailFit:
     """Pick k by minimizing the distance between empirical and fitted tail quantiles.
 
@@ -237,8 +263,7 @@ def select_k_mindist(values) -> TailFit:
     the whole block of the absolute log-quantile deviations
     |log V_(i) - log fitted_i|, i = 1..k_max. Ties break toward smaller k.
     """
-    v = _sorted_desc(values)
-    return _hill_fit(v, _mindist_k(_mindist_rows(v[None, :])[0][0]), "mindist")
+    return select_k(values, "mindist")
 
 
 def _ks_dev(val, a1, m, r, w):
@@ -252,18 +277,8 @@ def _ks_dev(val, a1, m, r, w):
     return np.maximum(np.abs(r / m - f), np.abs((r - 1) / m - f))
 
 
-def select_k_ks(values) -> TailFit:
-    """Pick the tail threshold by minimizing the KS distance to a fitted power law.
-
-    Every distinct positive value that leaves at least 10 observations at or
-    above it is a candidate threshold. For each candidate the continuous
-    power-law density exponent is fitted by maximum likelihood over the
-    exceedances and the KS distance between their empirical distribution and
-    the fitted one is computed. The reported alpha_hat is the
-    survival-function tail index, i.e. the ML density exponent minus one; k is
-    the number of values at or above the winning threshold.
-    """
-    v = _sorted_desc(values)
+def _ks_fit(v: np.ndarray) -> TailFit:
+    """``select_k_ks`` on descending finite ``v`` (a tail's values, or a row of them)."""
     n = v.size
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
@@ -317,15 +332,46 @@ def select_k_ks(values) -> TailFit:
     )
 
 
-def _check_k_method(method: str, k: int | None) -> str:
-    """The k rule that runs for ``method`` and ``k``: an unknown method raises, then a given k fixes k."""
+def select_k_ks(values) -> TailFit:
+    """Pick the tail threshold by minimizing the KS distance to a fitted power law.
+
+    Every distinct positive value that leaves at least 10 observations at or
+    above it is a candidate threshold. For each candidate the continuous
+    power-law density exponent is fitted by maximum likelihood over the
+    exceedances and the KS distance between their empirical distribution and
+    the fitted one is computed. The reported alpha_hat is the
+    survival-function tail index, i.e. the ML density exponent minus one; k is
+    the number of values at or above the winning threshold.
+    """
+    return select_k(values, "ks")
+
+
+def _check_k_method(method: str, k) -> tuple[str, int | None]:
+    """The k rule that runs for ``method`` and ``k``, and k as an int: an unknown method raises, then a given k fixes k."""
     if method not in K_METHODS:
         raise DomainError(f"unknown k_method {method!r}")
     if k is not None:
-        return "fixed"
+        return "fixed", _index(k, "k")
     if method == "fixed":
         raise DomainError("k_method='fixed' requires k")
-    return method
+    return method, None
+
+
+def _k_rule(vs: np.ndarray, method: str, k: int | None, sums=None):
+    """Row b's TailFit, as a function of b, for rows of descending finite ``vs`` and a ``_check_k_method`` result.
+
+    mindist chooses every row's k here, at once (``sums`` as for
+    ``_mindist_rows``); the other rules fit a row when it is asked for.
+    """
+    if method != "mindist":
+        return lambda b: _hill_fit(vs[b], k, "fixed") if method == "fixed" else _ks_fit(vs[b])
+    ks = _mindist_rows(vs, sums)[0]
+
+    def mindist(b):
+        if not ks[b]:
+            raise DegenerateTailError("tied top order statistics in the candidate range")
+        return _hill_fit(vs[b], int(ks[b]), "mindist")
+    return mindist
 
 
 def select_k(values, method: str, k: int | None = None) -> TailFit:
@@ -333,7 +379,5 @@ def select_k(values, method: str, k: int | None = None) -> TailFit:
 
     A given k fixes k whatever the method.
     """
-    method = _check_k_method(method, k)
-    if method == "fixed":
-        return hill(values, k)
-    return select_k_mindist(values) if method == "mindist" else select_k_ks(values)
+    method, k = _check_k_method(method, k)
+    return _tail(values).fit(method, k)

@@ -17,11 +17,14 @@ from ecc import (
     estimate_pipeline,
     extremal_correlation,
     extremal_covariance,
+    hill,
+    hill_series,
     norms,
     order_statistic,
     pair_radii,
     pairwise_matrix,
     power_transform,
+    select_k,
 )
 from ecc import estimators
 from ecc.curves import inner_products
@@ -55,6 +58,29 @@ def test_order_statistic_range_errors():
         order_statistic([1.0], 0)
     with pytest.raises(DomainError):
         order_statistic([1.0], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_order_statistic_rejects_non_finite_values(bad):
+    with pytest.raises(DomainError, match="^values must be finite$"):
+        order_statistic([bad, 1.0, 2.0], 1)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda v, x, y, k: hill(v, k), "k", id="hill"),
+    pytest.param(lambda v, x, y, k: hill_series(v, k), "k_max", id="hill_series"),
+    pytest.param(lambda v, x, y, k: select_k(v, "fixed", k), "k", id="select_k"),
+    pytest.param(lambda v, x, y, k: order_statistic(v, k), "k", id="order_statistic"),
+    pytest.param(lambda v, x, y, k: estimate_pipeline(x, y, k=k), "k", id="estimate_pipeline"),
+    pytest.param(lambda v, x, y, k: ecc_report(x, y, k), "k", id="ecc_report"),
+])
+def test_k_must_be_an_integer_and_numpy_integers_are_accepted(call, name):
+    x, y = _dgp_sample(seed=4)
+    v = norms(x)
+    for bad in (2.5, np.float64(20.0), "20"):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+            call(v, x, y, bad)
+    _assert_same(call(v, x, y, np.int32(20)), call(v, x, y, 20))
 
 
 def test_sigma_hand_fixture():
@@ -481,13 +507,17 @@ def test_pair_stage_errors_name_the_pair():
 
 
 def _radius_stage_rows():
-    """Norms and inner products of 6 rows (n = 300): four DGP pairs, one with a tied top, one with x zero."""
+    """Norms and inner products of 8 rows (n = 300): four DGP pairs, one with a tied top, one with x zero,
+    one with norms rounded to quarters (radii tied at r_k) and one whose 250 smallest radii are zero."""
     rows = [_dgp_sample(seed=s) for s in range(4)]
     nx, ny, ips = (np.array(v) for v in zip(*[(norms(x), norms(y), inner_products(x, y)) for x, y in rows]))
-    nx, ny, ips = (np.concatenate([v, v[:2]]) for v in (nx, ny, ips))
+    nx, ny, ips = (np.concatenate([v, v[:2], v[:2]]) for v in (nx, ny, ips))
     top = np.argsort(np.maximum(nx[4], ny[4]))[-50:]
     nx[4, top] = ny[4, top] = nx[4, top].max()  # 50 tied top radii
     nx[5] = ips[5] = 0.0  # x vanishes
+    nx[6], ny[6] = np.round(nx[6] * 4) / 4, np.round(ny[6] * 4) / 4
+    low = np.argsort(np.maximum(nx[7], ny[7]))[:250]
+    nx[7, low] = ny[7, low] = 0.0
     return nx, ny, ips
 
 
@@ -506,11 +536,32 @@ def test_radius_rows_equal_their_one_row_calls(k_method, k):
     for b, got in enumerate(rows):
         (want,) = estimators._radius_rows(nx[b : b + 1], ny[b : b + 1], [ips[b].__getitem__], k_method, k)
         _same_row(got, want)
+        if not isinstance(got, EccError):  # r_k read from the sorted row is the order statistic
+            assert got.r_k == order_statistic(np.maximum(nx[b], ny[b]), got.k)
     assert isinstance(rows[5], DegenerateSampleError)
     if k_method == "mindist":
         assert isinstance(rows[4], DegenerateTailError)
         assert str(rows[4]) == "tied top order statistics in the candidate range"
-    assert sum(isinstance(r, EccError) for r in rows[:4]) == 0
+    assert sum(isinstance(r, EccError) for r in rows[:4] + rows[6:]) == 0
+    assert np.count_nonzero(np.maximum(nx[6], ny[6]) == rows[6].r_k) > 1  # r_k is a tied radius
+
+
+@pytest.mark.parametrize("k_method", ["mindist", "ks"])
+def test_each_margin_and_each_radius_row_is_sorted_once(monkeypatch, k_method):
+    shapes, sort = [], np.sort
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counting)
+    samples = [x for s in range(2) for x in _dgp_sample(seed=s)]
+    n = samples[0].shape[0]
+    estimate_pipeline(*samples[:2], k_method=k_method)
+    assert shapes == [(n,)] * 2 + [(1, n)]  # the two margins, then the pair's radius row
+    shapes.clear()
+    pairwise_matrix(samples, k_method=k_method)
+    assert shapes == [(n,)] * 4 + [(1, n)] * 6
 
 
 @pytest.mark.parametrize("k_method, k", [("mindist", None), ("fixed", 30)])

@@ -10,6 +10,7 @@ from ecc import (
     basis,
     bias_experiment,
     draw_paired,
+    ecc_report,
     generate_concentrated,
     generate_paired,
     generate_shared_score,
@@ -25,7 +26,6 @@ from ecc import (
 )
 from ecc import simulate
 from ecc.errors import DegenerateSampleError, DegenerateTailError
-from ecc.estimators import _exceedances, _paired
 from ecc.simulate import _BLOCK, _gram_norms, _symmetric_pareto
 
 # frozen with mpmath at 30 digits: 0.5 / sqrt(0.25 + 0.75^1.5)
@@ -302,10 +302,10 @@ def test_replicate_rho_deterministic_and_thread_invariant():
 
 
 def _grid_rho(cfg, stream, k_method, k_fixed):
-    nx, ny, radii, inner_products = _paired(*draw_paired(np.random.default_rng(stream), cfg))
+    x, y = draw_paired(np.random.default_rng(stream), cfg)
     try:
-        k = select_k(radii, k_method, k_fixed).k
-        return _exceedances(nx, ny, radii, inner_products, k).rho_xy, k
+        k = select_k(pair_radii(x, y), k_method, k_fixed).k
+        return ecc_report(x, y, k).rho_xy, k
     except (DegenerateSampleError, DegenerateTailError):
         return np.nan, 0
 
