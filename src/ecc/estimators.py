@@ -32,7 +32,8 @@ import numpy as np
 
 from .curves import _centered_norms, _inner_products, _margin_rows, _mean_curve, _norms, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
-from .tail import HillSeries, TailFit, _check_k_method, _finite_vector, _index, _k_rule, _tail
+from .tail import (HillSeries, TailFit, _check_k_method, _finite_vector, _hill_series, _index, _k_rule, _select_k,
+                   _sorted_desc)
 from .transform import _power_scales
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -79,7 +80,7 @@ def _paired(x, y, k):
     """Validate a pair, then k, once; return what ``_exceedances`` reads of them, r_k by ``order_statistic``."""
     xs, ys = check_paired(x, y)
     nx, ny = _norms(xs), _norms(ys)
-    radii = np.maximum(nx, ny)
+    radii, k = np.maximum(nx, ny), _index(k, "k")
     return nx, ny, radii, lambda idx: _inner_products(xs[idx], ys[idx]), k, order_statistic(radii, k)
 
 
@@ -137,11 +138,11 @@ def _radius_rows(nx, ny, inner_products, k_method: str, k: int | None) -> list[E
     """
     radii = np.maximum(nx, ny)
     vs = np.sort(radii, axis=1)[:, ::-1]
-    fit = _k_rule(vs, k_method, k)
+    k_rule = _k_rule(vs, k_method, k)
     out = []
     for b, ips in enumerate(inner_products):
         try:
-            k_b = fit(b).k
+            k_b, _ = k_rule(b)
             out.append(_exceedances(nx[b], ny[b], radii[b], ips, k_b, float(vs[b, k_b - 1])))
         except (DegenerateSampleError, DegenerateTailError) as exc:
             out.append(exc)
@@ -208,15 +209,15 @@ def _pipelines(
             )
 
     # a margin is its parsed sample and mean curve: no centered or transformed copy, nor
-    # the tail of its norms, is kept (peak memory); the norms read row blocks and the
+    # its sorted norms, is kept (peak memory); the norms read row blocks and the
     # exceedance pass its own rows
     def marginal_stage(arr, name):
         mean, nrm = _margin_norms(arr, name, do_center)
         with _naming(name):
-            tail = _tail(nrm)
-            fit = tail.fit(k_method, k)
-        try:  # the series is an advisory attachment: one that cannot be computed is omitted
-            series = tail.series()
+            v = _sorted_desc(nrm)
+            fit = _select_k(v, k_method, k)
+        try:  # the series, read from the fit's sorted norms, is advisory: one that cannot be computed is omitted
+            series = _hill_series(v, None)
         except (DomainError, DegenerateTailError):
             series = None
         return arr, mean, nrm, fit, series, name

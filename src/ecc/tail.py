@@ -21,12 +21,12 @@ full distance only while the bound can still win. The bound takes its max over
 a subset of the very floating-point terms of the full distance, so it never
 exceeds it, and the search returns exactly the candidate a full scan would.
 
-Every entry point validates, sorts and logs its input once, into a ``_Tail``;
-a margin's fit and Hill series read one tail. One dispatcher, ``_k_rule``,
-runs the k rules on rows of descending values: a tail's one row, or the
-estimators' block of sorted radii. The quantile rule takes all rows at once
-(``_mindist_rows``) and reads a tail's Hill log-sums; the KS rule takes its own
-logs of the ascending positives.
+Every entry point validates and sorts its input once (``_sorted_desc``), then
+works on that array through private kernels only; the pipeline's marginal
+stage reads a margin's fit and Hill series from one sorted array. One
+dispatcher, ``_k_rule``, chooses k on rows of descending values: one sorted
+vector, or the estimators' block of sorted radii. The quantile rule's kernel,
+``_mindist_rows``, takes all rows at once.
 """
 from __future__ import annotations
 
@@ -80,6 +80,11 @@ def _finite_vector(values) -> np.ndarray:
     return arr
 
 
+def _sorted_desc(values) -> np.ndarray:
+    """Validate values as a finite 1-d sequence and sort them descending: each vector's one sort."""
+    return np.sort(_finite_vector(values))[::-1]
+
+
 def _index(value, name: str) -> int:
     """An integer parameter as an int (NumPy integers too); anything else raises DomainError naming it."""
     try:
@@ -95,7 +100,7 @@ def _check_top_positive(v: np.ndarray, count: int) -> None:
 
 
 def _hill_fit(v: np.ndarray, k: int, method: str) -> TailFit:
-    """``hill`` on descending finite ``v`` (a tail's values, or a row of them), reported under ``method``."""
+    """``hill`` on descending finite data ``_sorted_desc`` returned (or a row of them), reported under ``method``."""
     n = v.size
     if n < 2:
         raise DomainError("need at least 2 values")
@@ -114,52 +119,15 @@ def _hill_fit(v: np.ndarray, k: int, method: str) -> TailFit:
 
 
 def _hill_log_sums(vs: np.ndarray, k_max: int):
-    """log V_(1..k_max+1) and the log-sums k/alpha_hat(k), k = 1..k_max, per row of descending ``vs``.
+    """log V_(1..k_max+1), k = 1..k_max and the log-sums k/alpha_hat(k), per row of descending ``vs``.
 
     The top k_max+1 values of each row are > 0. The logs are taken a row at a
     time: np.log of a 2-d reversed view runs another loop than of a 1-d one,
-    and the two can differ in the last ulp. Those to a smaller k_max are a prefix.
+    and the two can differ in the last ulp.
     """
     logs = np.stack([np.log(v[: k_max + 1]) for v in vs])
-    return logs, np.cumsum(logs[:, :-1], axis=1) - np.arange(1, k_max + 1) * logs[:, 1:]
-
-
-@dataclass(frozen=True)
-class _Tail:
-    """One vector's tail (``_tail``): descending values, logs of the p positive ones, log-sums for k = 1..p-1."""
-
-    v: np.ndarray
-    logs: np.ndarray
-    log_sums: np.ndarray
-
-    def fit(self, method: str, k: int | None) -> TailFit:
-        """The tail fit of ``select_k`` for a method and k as ``_check_k_method`` returns them."""
-        return _k_rule(self.v[None, :], method, k, (self.logs[None, :], self.log_sums[None, :]))(0)
-
-    def series(self, k_max=None) -> HillSeries:
-        """``hill_series`` of this tail."""
-        if k_max is None:
-            if self.logs.size < 3:
-                raise DomainError(f"need at least 3 positive values, got {self.logs.size}")
-            k_max = self.logs.size - 1
-        k_max = _index(k_max, "k_max")
-        if not 2 <= k_max <= self.v.size - 1:
-            raise DomainError(f"k_max={k_max} out of range [2, {self.v.size - 1}]")
-        _check_top_positive(self.v, k_max + 1)
-        log_sums = self.log_sums[:k_max]
-        if np.any(log_sums <= 0.0):
-            raise DegenerateTailError("tied top order statistics; tail index undefined for some k")
-        ks = np.arange(1, k_max + 1)
-        alpha = ks / log_sums
-        half_width = 1.96 * alpha / np.sqrt(ks)
-        return HillSeries(k=ks, alpha_hat=alpha, ci_low=alpha - half_width, ci_high=alpha + half_width)
-
-
-def _tail(values) -> _Tail:
-    """Validate ``values`` as a finite 1-d sequence, sort it descending and take its Hill logs: the one pass."""
-    v = np.sort(_finite_vector(values))[::-1]
-    logs, (log_sums,) = _hill_log_sums(v[None, :], int(np.count_nonzero(v > 0)) - 1)
-    return _Tail(v, logs[0], log_sums)
+    ks = np.arange(1, k_max + 1)
+    return logs, ks, np.cumsum(logs[:, :-1], axis=1) - ks * logs[:, 1:]
 
 
 def hill(values, k: int) -> TailFit:
@@ -169,12 +137,32 @@ def hill(values, k: int) -> TailFit:
     finite or any of the top k+1 values is nonpositive, and DegenerateTailError
     when the top k values all equal the threshold (zero log-sum).
     """
-    return _tail(values).fit("fixed", _index(k, "k"))
+    return _hill_fit(_sorted_desc(values), _index(k, "k"), "fixed")
+
+
+def _hill_series(v: np.ndarray, k_max: int | None) -> HillSeries:
+    """``hill_series`` on descending finite data ``_sorted_desc`` returned."""
+    n = v.size
+    if k_max is None:
+        positive = int(np.count_nonzero(v > 0))
+        if positive < 3:
+            raise DomainError(f"need at least 3 positive values, got {positive}")
+        k_max = positive - 1
+    k_max = _index(k_max, "k_max")
+    if not 2 <= k_max <= n - 1:
+        raise DomainError(f"k_max={k_max} out of range [2, {n - 1}]")
+    _check_top_positive(v, k_max + 1)
+    _, ks, (log_sums,) = _hill_log_sums(v[None, :], k_max)
+    if np.any(log_sums <= 0.0):
+        raise DegenerateTailError("tied top order statistics; tail index undefined for some k")
+    alpha = ks / log_sums
+    half_width = 1.96 * alpha / np.sqrt(ks)
+    return HillSeries(k=ks, alpha_hat=alpha, ci_low=alpha - half_width, ci_high=alpha + half_width)
 
 
 def hill_series(values, k_max: int | None = None) -> HillSeries:
     """Hill estimates for k = 1..k_max (default: positive values - 1), alpha_hat +- 1.96 alpha_hat/sqrt(k) bounds."""
-    return _tail(values).series(k_max)
+    return _hill_series(_sorted_desc(values), k_max)
 
 
 def _prune_argmin(bounds: np.ndarray, distance) -> tuple[int, float]:
@@ -210,17 +198,15 @@ def _mindist_dev(log_v, log_vk, gamma, log_ratio):
     return np.abs(dev, out=dev)
 
 
-def _mindist_rows(vs: np.ndarray, sums=None):
+def _mindist_rows(vs: np.ndarray):
     """The k select_k_mindist picks on each row of ``vs`` (rows of descending finite data), its distance, and the bounds.
 
-    ``sums`` are the rows' ``_hill_log_sums`` to at least k_max, as a tail
-    holds them; by default they are taken here. A row with tied top order
-    statistics in the candidate range gets k = 0 (and distance 0; ``_k_rule``
-    raises for it). A candidate's bound is its largest deviation over about
-    ``_PROBES`` geometrically spaced columns i; the bounds of all rows are
-    taken at once. Each row then runs ``_prune_argmin`` on its bounds, which
-    computes a candidate's full row i = 1..k_max only when its bound can still
-    win.
+    A row with tied top order statistics in the candidate range gets k = 0
+    (and distance 0; ``_k_rule`` raises for it). A candidate's bound is its
+    largest deviation over about ``_PROBES`` geometrically spaced columns i;
+    the bounds of all rows are taken at once. Each row then runs
+    ``_prune_argmin`` on its bounds, which computes a candidate's full row
+    i = 1..k_max only when its bound can still win.
     """
     rows, n = vs.shape
     if n < 20:
@@ -228,12 +214,12 @@ def _mindist_rows(vs: np.ndarray, sums=None):
     k_max = min(max(3, int(0.15 * n)), n - 1)  # the candidates are k = 2..k_max
     _check_top_positive(vs, k_max + 1)
 
-    logs, log_sums = _hill_log_sums(vs, k_max) if sums is None else sums
-    gammas = log_sums[:, :k_max] / np.arange(1, k_max + 1)  # 1/alpha_hat(k)
+    logs, k_all, log_sums = _hill_log_sums(vs, k_max)
+    gammas = log_sums / k_all  # 1/alpha_hat(k)
     tied = np.any(gammas[:, 1:] <= 0.0, axis=1)
     cols = np.unique((k_max ** np.linspace(0.0, 1.0, _PROBES)).round().astype(np.int64)) - 1
     log_i, log_k = np.log(np.arange(1, k_max + 1)), np.log(np.arange(2, k_max + 1))
-    log_v, log_vk, gam = logs[:, :k_max], logs[:, 2 : k_max + 1], gammas[:, 1:]
+    log_v, log_vk, gam = logs[:, :k_max], logs[:, 2:], gammas[:, 1:]
 
     # probe columns a chunk at a time, so a chunk's deviations hold at most about _BOUND_CELLS values
     step = max(1, _BOUND_CELLS // (rows * log_k.size))
@@ -278,7 +264,7 @@ def _ks_dev(val, a1, m, r, w):
 
 
 def _ks_fit(v: np.ndarray) -> TailFit:
-    """``select_k_ks`` on descending finite ``v`` (a tail's values, or a row of them)."""
+    """``select_k_ks`` on descending finite data ``_sorted_desc`` returned (or a row of them)."""
     n = v.size
     if n < 20:
         raise DomainError(f"need at least 20 values, got {n}")
@@ -347,7 +333,7 @@ def select_k_ks(values) -> TailFit:
 
 
 def _check_k_method(method: str, k) -> tuple[str, int | None]:
-    """The k rule that runs for ``method`` and ``k``, and k as an int: an unknown method raises, then a given k fixes k."""
+    """The k rule and k (an int) that run for ``method`` and ``k``: an unknown method raises, then a given k fixes k."""
     if method not in K_METHODS:
         raise DomainError(f"unknown k_method {method!r}")
     if k is not None:
@@ -357,21 +343,32 @@ def _check_k_method(method: str, k) -> tuple[str, int | None]:
     return method, None
 
 
-def _k_rule(vs: np.ndarray, method: str, k: int | None, sums=None):
-    """Row b's TailFit, as a function of b, for rows of descending finite ``vs`` and a ``_check_k_method`` result.
+def _k_rule(vs: np.ndarray, method: str, k: int | None):
+    """Row b's k, and the TailFit the rule made for it, as a function of b: rows of descending finite ``vs``.
 
-    mindist chooses every row's k here, at once (``sums`` as for
-    ``_mindist_rows``); the other rules fit a row when it is asked for.
+    ``method`` and ``k`` are as ``_check_k_method`` returns them. mindist
+    chooses every row's k here, at once, and makes no fit (None); the other
+    rules fit a row when it is asked for.
     """
-    if method != "mindist":
-        return lambda b: _hill_fit(vs[b], k, "fixed") if method == "fixed" else _ks_fit(vs[b])
-    ks = _mindist_rows(vs, sums)[0]
+    if method == "mindist":
+        ks = _mindist_rows(vs)[0]
 
-    def mindist(b):
-        if not ks[b]:
-            raise DegenerateTailError("tied top order statistics in the candidate range")
-        return _hill_fit(vs[b], int(ks[b]), "mindist")
-    return mindist
+        def mindist(b):
+            if not ks[b]:
+                raise DegenerateTailError("tied top order statistics in the candidate range")
+            return int(ks[b]), None
+        return mindist
+
+    def fitted(b):
+        fit = _hill_fit(vs[b], k, "fixed") if method == "fixed" else _ks_fit(vs[b])
+        return fit.k, fit
+    return fitted
+
+
+def _select_k(v: np.ndarray, method: str, k: int | None) -> TailFit:
+    """``select_k`` on descending finite data ``_sorted_desc`` returned, for a ``_check_k_method`` result."""
+    k, fit = _k_rule(v[None, :], method, k)(0)
+    return _hill_fit(v, k, "mindist") if fit is None else fit
 
 
 def select_k(values, method: str, k: int | None = None) -> TailFit:
@@ -380,4 +377,4 @@ def select_k(values, method: str, k: int | None = None) -> TailFit:
     A given k fixes k whatever the method.
     """
     method, k = _check_k_method(method, k)
-    return _tail(values).fit(method, k)
+    return _select_k(_sorted_desc(values), method, k)

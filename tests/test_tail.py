@@ -460,7 +460,7 @@ def test_hill_log_sums_of_a_block_equal_each_rows_own():
     # np.log of a 2-d reversed view runs another loop than of a 1-d one and differs in some last ulps
     rng = np.random.default_rng(3)
     vs = np.sort((1 - rng.random((7, 2000))) ** (-1 / 3.0), axis=1)[:, ::-1]
-    logs, log_sums = tail._hill_log_sums(vs, 300)
+    logs, _, log_sums = tail._hill_log_sums(vs, 300)
     for v, row_logs, row_sums in zip(vs, logs, log_sums):
         own = np.log(np.sort(v)[::-1][:301])
         assert row_logs.tobytes() == own.tobytes()
