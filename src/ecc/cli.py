@@ -24,7 +24,7 @@ from .chi import chi_curve
 from .curveio import _csv_blocks, _reading, _text_lines, parse_curve_file, resample_linear
 from .errors import DomainError, EccError, ParseError
 from .estimators import PipelineReport, _margin_norms, estimate_pipeline, pairwise_matrix
-from .simulate import DgpConfig, ExperimentTable, bias_experiment, generate_paired, invert_oracle
+from .simulate import DgpConfig, ExperimentTable, _paired_blocks, bias_experiment, invert_oracle
 from .tail import K_METHODS, hill_series
 from .transform import power_transform
 
@@ -40,7 +40,8 @@ CONFIG_KEYS = ("rho_xy", "alpha", "n", "reps", "seed", "k_method", "k", "j", "no
 
 
 def _write(fh, output) -> None:
-    """Write a text, or a sample as a curve file a block of rows at a time, to an open text file."""
+    """Write a text, or a sample (an array or an iterator of row blocks) as a curve file a block of
+    rows at a time, to an open text file."""
     fh.writelines([output] if isinstance(output, str) else _csv_blocks(output))
 
 
@@ -71,6 +72,8 @@ def _staging_target(path: str) -> str | None:
 
 def _emit(*outputs) -> None:
     """Write (output, path) pairs: a text, or a sample as a curve file, to ``path`` (None or "-": stdout).
+
+    A sample given as an iterator of row blocks is made as it is written.
 
     Each file that ``_staging_target`` stages is written to a temporary beside
     it, with the mode of the file it replaces, and the temporaries are moved
@@ -257,7 +260,7 @@ def _cmd_simulate(args) -> int:
     if extra["variant"] != "bernoulli":
         rho = invert_oracle(args.rho_xy, args.alpha)
     cfg = DgpConfig(rho=rho, alpha=args.alpha, n=args.n, J=args.J, seed=args.seed, **extra)
-    x, y = generate_paired(cfg)
+    x, y = _paired_blocks(np.random.default_rng(cfg.seed), cfg)  # lazy: each file is written as it is made
     _emit((x, args.out_x), (y, args.out_y))
     return 0
 

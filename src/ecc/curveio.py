@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -121,14 +122,25 @@ def parse_curve_file(path) -> np.ndarray:
 def _csv_blocks(sample):
     """The CSV text of a sample (17 significant digits, exact round trip) as an iterator of row blocks.
 
-    The sample is checked at the call, before any text is made.
+    ``sample`` is an array, checked whole at the call and cut into
+    ``_row_blocks``, or an iterator of row blocks, which ``ecc simulate``
+    streams. Each block is checked by ``as_sample``, and to be as wide as the
+    first, before its text is made.
     """
-    arr = as_sample(sample)
-    line = ",".join(["{:.17g}"] * arr.shape[1]) + "\n"
+    if not isinstance(sample, Iterator):
+        arr = as_sample(sample)
+        sample = (arr[rows] for rows in _row_blocks(*arr.shape))
 
     def blocks():
-        for rows in _row_blocks(*arr.shape):
-            yield "".join([line.format(*values) for values in arr[rows].tolist()])
+        width = None
+        for block in sample:
+            arr = as_sample(block)
+            if width is None:
+                width = arr.shape[1]
+                line = ",".join(["{:.17g}"] * width) + "\n"
+            elif arr.shape[1] != width:
+                raise DomainError(f"a row block has {arr.shape[1]} columns, the first had {width}")
+            yield "".join([line.format(*values) for values in arr.tolist()])
 
     return blocks()
 

@@ -18,14 +18,15 @@ each of two heavy-tailed components on and off independently per margin
 margin on the grid, attenuating the coefficient.
 
 Every generator is basis scores times basis rows. ``_scores`` draws the
-scores and is the one draw order: ``draw_paired`` turns them into (n, J)
-curves on the grid a row block at a time, so it holds the two samples plus
-one block's temporaries, while the replications of ``replicate_rho`` never
-build curves. They keep only their norms and inner products, quadratic forms in
-the discrete Gram matrix of the basis rows (for the phase variant, of the
-rows and their delayed copies), and run in blocks: a block is one call of the
-estimators' radius stage (``_radius_rows``), which for mindist chooses the
-whole block's k at once.
+scores and is the one draw order. ``_paired_blocks`` turns them into (n, J)
+curves on the grid, each margin's rows one row block at a time: ``ecc
+simulate`` streams those blocks to its files, holding the scores plus one
+block, and ``draw_paired`` fills its two samples from them. The replications
+of ``replicate_rho`` never build curves. They keep only their norms and inner
+products, quadratic forms in the discrete Gram matrix of the basis rows (for
+the phase variant, of the rows and their delayed copies), and run in blocks:
+a block is one call of the estimators' radius stage (``_radius_rows``), which
+for mindist chooses the whole block's k at once.
 
 Reproducibility: a DgpConfig is fully deterministic in its seed; the
 experiment spawns one child stream per replication from the master seed, and
@@ -35,7 +36,9 @@ identical for any worker count.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -140,6 +143,15 @@ def _basis_rows(cfg: DgpConfig) -> np.ndarray:
     return np.stack([basis(j, cfg.J) for j in range(1, 3 if cfg.variant == "bernoulli" else 4)])
 
 
+@contextmanager
+def _n_fits(n: int):
+    """Raise DomainError naming n where an allocation of n rows inside cannot be made."""
+    try:
+        yield
+    except MemoryError:
+        raise DomainError(f"n = {n} curves do not fit in memory") from None
+
+
 def _scores(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Basis scores (cx, cy) of one paired sample: x = cx @ rows and y = cy @ rows,
     then delayed by ``phase_shift`` for the phase variant."""
@@ -163,20 +175,35 @@ def _scores(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.nd
     return cx, cy
 
 
+def _paired_blocks(rng: np.random.Generator, cfg: DgpConfig) -> tuple[Iterator[np.ndarray], Iterator[np.ndarray]]:
+    """The curves of one paired sample as two lazy iterators, x's and y's, of ``_row_blocks`` blocks.
+
+    The scores are drawn here, at the call; each block is made as its iterator
+    reaches it, and with the bits of the whole sample's expression.
+    """
+    with _n_fits(cfg.n):
+        cx, cy = _scores(rng, cfg)
+    p = _basis_rows(cfg)
+
+    def blocks(c: np.ndarray, delayed: bool) -> Iterator[np.ndarray]:
+        for rows in _row_blocks(cfg.n, cfg.J):
+            if cfg.variant == "bernoulli":
+                block = c[rows] @ p
+            else:  # sums of outer products: no (n, J) temporary, and the bits of the whole-array sum
+                block = np.outer(c[rows, 0], p[0]) + np.outer(c[rows, 1], p[1]) + np.outer(c[rows, 2], p[2])
+            yield phase_shift(block, cfg.delta) if delayed else block
+
+    return blocks(cx, False), blocks(cy, cfg.variant == "phase")
+
+
 def draw_paired(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Generate one paired sample from an explicit random stream."""
-    cx, cy = _scores(rng, cfg)
-    p = _basis_rows(cfg)
-    if cfg.variant == "bernoulli":
-        return cx @ p, cy @ p
-    # sums of outer products, and the delay applied on the grid, a row block at a time: `ecc simulate`
-    # files keep their bits, and no (n, J) temporary is made
-    x, y = np.empty((cfg.n, cfg.J)), np.empty((cfg.n, cfg.J))
-    for rows in _row_blocks(cfg.n, cfg.J):
-        for out, c in ((x, cx[rows]), (y, cy[rows])):
-            out[rows] = np.outer(c[:, 0], p[0]) + np.outer(c[:, 1], p[1]) + np.outer(c[:, 2], p[2])
-        if cfg.variant == "phase":
-            y[rows] = phase_shift(y[rows], cfg.delta)
+    x_blocks, y_blocks = _paired_blocks(rng, cfg)
+    with _n_fits(cfg.n):
+        x, y = np.empty((cfg.n, cfg.J)), np.empty((cfg.n, cfg.J))
+    for out, blocks in ((x, x_blocks), (y, y_blocks)):
+        for rows, block in zip(_row_blocks(cfg.n, cfg.J), blocks):
+            out[rows] = block
     return x, y
 
 

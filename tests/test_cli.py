@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ecc
-from ecc import DgpConfig, estimate_pipeline, generate_paired, parse_curve_file, write_curve_file
+from ecc import DgpConfig, estimate_pipeline, generate_paired, invert_oracle, parse_curve_file, write_curve_file
 from ecc.curves import _row_blocks
 from ecc.curveio import _csv_blocks, format_curves
-from ecc.cli import main
+from ecc.cli import _emit, main
+from ecc.errors import DomainError, ParseError
+from ecc.simulate import _paired_blocks
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +254,43 @@ def test_simulate_variants(capsys, tmp_path):
     )
     assert code == 2
     assert json.loads(err)["error"]["operation"] == "simulate"
+
+
+@pytest.mark.parametrize("variant,extra", [
+    ("base", {}),
+    ("bernoulli:0.5,0.6", {"variant": "bernoulli", "p_a": 0.5, "p_b": 0.6}),
+    ("phase:0.3", {"variant": "phase", "delta": 0.3}),
+], ids=["base", "bernoulli", "phase"])
+def test_simulate_files_are_the_formatted_generate_paired_bytes(capsys, tmp_path, monkeypatch, variant, extra):
+    monkeypatch.chdir(tmp_path)
+    assert 1000 % _row_blocks(1000, 100)[0].stop != 0  # 163 rows per block: the last block is short
+    rho = 0.0 if variant.startswith("bernoulli") else invert_oracle(0.7, 3.0)
+    x, y = generate_paired(DgpConfig(rho=rho, alpha=3.0, n=1000, J=100, seed=4, **extra))
+    argv = ("simulate", "--rho-xy", "0.7", "--alpha", "3", "--n", "1000", "--J", "100", "--seed", "4",
+            "--variant", variant)
+    assert run_cli(capsys, *argv, "--out-x", "x.csv", "--out-y", "y.csv")[0] == 0
+    assert Path("x.csv").read_bytes() == format_curves(x).encode()
+    assert Path("y.csv").read_bytes() == format_curves(y).encode()
+    code, out, _ = run_cli(capsys, *argv, "--out-x", "-", "--out-y", "y2.csv")
+    assert code == 0
+    assert out.encode() == Path("x.csv").read_bytes()
+    assert Path("y2.csv").read_bytes() == Path("y.csv").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["base", "bernoulli:0.5,0.5"])
+def test_simulate_with_n_too_large_for_memory_exits_3_naming_n(capsys, tmp_path, monkeypatch, variant):
+    def no_memory(rng, alpha, size):
+        raise MemoryError  # what drawing 1e12 scores raises on a host without 8 TB, allocating nothing here
+
+    monkeypatch.setattr(ecc.simulate, "_pareto", no_memory)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "--alpha", "3", "--n", "1000000000000", "--seed", "1",
+                             "--variant", variant, "--out-x", "x.csv", "--out-y", "y.csv")
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"].startswith("n = 1000000000000 ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_transform_stdout(capsys, tmp_path):
@@ -632,6 +671,27 @@ def test_an_error_while_streaming_an_output_leaves_no_file(capsys, tmp_path, mon
     assert _error(err)["type"] == "MemoryError"
     assert len(calls) == output
     assert len(seen) == output and all(name.endswith(".tmp") for name in seen)  # it failed mid-stream
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_streamed_samples_with_an_unwritable_output_leave_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    x, y = _paired_blocks(np.random.default_rng(2), DgpConfig(rho=0.5, alpha=3.0, n=400, J=50, seed=2))
+    with pytest.raises(ParseError, match="^missing/y.csv: cannot write"):
+        _emit((x, "x.csv"), (y, "missing/y.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_block_iterator_that_raises_after_its_first_block_leaves_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    x, y = _sim_small()
+
+    def blocks():
+        yield x[:3]
+        yield np.full((1, x.shape[1]), np.nan)  # as_sample rejects it before its text is made
+
+    with pytest.raises(DomainError, match="finite"):
+        _emit((y, "y.csv"), (blocks(), "x.csv"))
     assert list(tmp_path.iterdir()) == []
 
 

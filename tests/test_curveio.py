@@ -20,7 +20,7 @@ from ecc import (
     write_curve_file,
 )
 from ecc.curves import _row_blocks
-from ecc.curveio import format_curves
+from ecc.curveio import _csv_blocks, format_curves
 
 
 @contextmanager
@@ -324,6 +324,15 @@ def test_file_bytes_equal_the_formatted_text_at_block_edges(tmp_path):
         write_curve_file(tmp_path / "s.csv", sample)
         assert (tmp_path / "s.csv").read_bytes() == text.encode()
         assert parse_curve_file(tmp_path / "s.csv").tobytes() == sample.tobytes()
+
+
+def test_streamed_blocks_are_each_checked_before_their_text():
+    first = np.arange(6.0).reshape(2, 3)
+    for bad, message in ((np.array([[1.0, np.inf, 2.0]]), "finite"), (np.ones((1, 4)), "has 4 columns")):
+        blocks = _csv_blocks(iter([first, bad]))
+        assert next(blocks) == format_curves(first)
+        with pytest.raises(DomainError, match=message):
+            next(blocks)
 
 
 def test_resample_identity():

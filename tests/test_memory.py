@@ -13,7 +13,7 @@ import pytest
 
 from ecc import DgpConfig, estimate_pipeline, generate_paired, parse_curve_file, write_curve_file
 from ecc import select_k_mindist
-from ecc.cli import _emit
+from ecc.cli import _emit, main
 from ecc.curveio import format_curves
 
 
@@ -61,6 +61,19 @@ def test_generate_paired_peaks_below_1_1_samples(variant):
     with traced_peak() as peak:
         x, y = generate_paired(cfg)
     assert peak[0] < 1.1 * (x.nbytes + y.nbytes)
+
+
+@pytest.mark.parametrize("variant", ["base", "bernoulli:0.5,0.6", "phase:0.3"])
+def test_simulate_streams_its_two_samples_below_2_mb(tmp_path, monkeypatch, variant):
+    # the samples are 16 MB: the command holds their basis scores (0.5 MB) and one row block
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--alpha", "3", "--J", "100", "--seed", "1", "--variant", variant,
+            "--out-x", "x.csv", "--out-y", "y.csv"]
+    assert main(argv + ["--n", "5"]) == 0  # a first call loads modules that stay loaded
+    with traced_peak() as peak:
+        assert main(argv + ["--n", "10000"]) == 0
+    assert len((tmp_path / "y.csv").read_text().splitlines()) == 10_000
+    assert peak[0] < 2_000_000
 
 
 def test_select_k_mindist_holds_almost_nothing_once_it_returns():

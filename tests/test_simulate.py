@@ -166,6 +166,15 @@ def test_generate_paired_bits_are_pinned(cfg, sha_x, sha_y):
     assert hashlib.sha256(y.tobytes()).hexdigest() == sha_y
 
 
+def test_generate_paired_with_n_too_large_for_memory_names_n(monkeypatch):
+    def no_memory(rng, alpha, size):
+        raise MemoryError  # what drawing 1e12 scores raises on a host without 8 TB, allocating nothing here
+
+    monkeypatch.setattr(simulate, "_pareto", no_memory)
+    with pytest.raises(DomainError, match="^n = 1000000000000 curves do not fit in memory$"):
+        generate_paired(DgpConfig(rho=0.5, alpha=3.0, n=10**12))
+
+
 def test_bernoulli_variant_all_gates_open_means_equal_margins():
     cfg = DgpConfig(rho=0.0, alpha=3.0, n=40, J=30, seed=3, variant="bernoulli", p_a=1.0, p_b=1.0)
     x, y = generate_paired(cfg)
