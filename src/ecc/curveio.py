@@ -124,23 +124,24 @@ def _csv_blocks(sample):
 
     ``sample`` is an array, checked whole at the call and cut into
     ``_row_blocks``, or an iterator of row blocks, which ``ecc simulate``
-    streams. Each block is checked by ``as_sample``, and to be as wide as the
-    first, before its text is made.
+    streams and whose blocks are each checked by ``as_sample`` before their
+    text is made. Every block must be as wide as the first.
     """
-    if not isinstance(sample, Iterator):
+    if isinstance(sample, Iterator):
+        checked = map(as_sample, sample)
+    else:
         arr = as_sample(sample)
-        sample = (arr[rows] for rows in _row_blocks(*arr.shape))
+        checked = (arr[rows] for rows in _row_blocks(*arr.shape))
 
     def blocks():
         width = None
-        for block in sample:
-            arr = as_sample(block)
+        for block in checked:
             if width is None:
-                width = arr.shape[1]
+                width = block.shape[1]
                 line = ",".join(["{:.17g}"] * width) + "\n"
-            elif arr.shape[1] != width:
-                raise DomainError(f"a row block has {arr.shape[1]} columns, the first had {width}")
-            yield "".join([line.format(*values) for values in arr.tolist()])
+            elif block.shape[1] != width:
+                raise DomainError(f"a row block has {block.shape[1]} columns, the first had {width}")
+            yield "".join([line.format(*values) for values in block.tolist()])
 
     return blocks()
 

@@ -179,7 +179,7 @@ def _paired_blocks(rng: np.random.Generator, cfg: DgpConfig) -> tuple[Iterator[n
     """The curves of one paired sample as two lazy iterators, x's and y's, of ``_row_blocks`` blocks.
 
     The scores are drawn here, at the call; each block is made as its iterator
-    reaches it, and with the bits of the whole sample's expression.
+    reaches it.
     """
     with _n_fits(cfg.n):
         cx, cy = _scores(rng, cfg)
@@ -187,8 +187,8 @@ def _paired_blocks(rng: np.random.Generator, cfg: DgpConfig) -> tuple[Iterator[n
 
     def blocks(c: np.ndarray, delayed: bool) -> Iterator[np.ndarray]:
         for rows in _row_blocks(cfg.n, cfg.J):
-            if cfg.variant == "bernoulli":
-                block = c[rows] @ p
+            if cfg.variant == "bernoulli":  # a block's product is too small for BLAS to split over
+                block = c[rows] @ p  # threads, which changes the bits of the whole sample's at some J
             else:  # sums of outer products: no (n, J) temporary, and the bits of the whole-array sum
                 block = np.outer(c[rows, 0], p[0]) + np.outer(c[rows, 1], p[1]) + np.outer(c[rows, 2], p[2])
             yield phase_shift(block, cfg.delta) if delayed else block
