@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curves import _row_blocks, as_sample, grid
+from .curves import _fits, _row_blocks, as_sample, grid
 from .errors import DomainError, EmptyInputError, ParseError
 
 
@@ -170,5 +170,6 @@ def resample_linear(s, J_target: int) -> np.ndarray:
         raise DomainError("resampling needs J >= 2")
     if J_target < 2:
         raise DomainError("J_target must be >= 2")
-    t_src, t_dst = grid(J), grid(J_target)
-    return np.stack([np.interp(t_dst, t_src, row) for row in arr])
+    with _fits(f"J_target = {J_target} grid points"):
+        t_src, t_dst = grid(J), grid(J_target)
+        return np.stack([np.interp(t_dst, t_src, row) for row in arr])

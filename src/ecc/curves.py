@@ -78,6 +78,15 @@ def _overflow_raises(message: str):
         raise DomainError(message) from None
 
 
+@contextmanager
+def _fits(what: str):
+    """Raise DomainError("<what> do not fit in memory") where an allocation inside cannot be made."""
+    try:
+        yield
+    except MemoryError:
+        raise DomainError(f"{what} do not fit in memory") from None
+
+
 def inner_product(x, y) -> float:
     """Discrete L2 inner product (1/J) * sum_j x(j/J) y(j/J)."""
     xc = as_curve(x)

@@ -18,32 +18,37 @@ each of two heavy-tailed components on and off independently per margin
 margin on the grid, attenuating the coefficient.
 
 Every generator is basis scores times basis rows. ``_scores`` draws the
-scores and is the one draw order. ``_paired_blocks`` turns them into (n, J)
-curves on the grid, each margin's rows one row block at a time: ``ecc
+scores and is the one draw order; ``_basis_rows`` gives x's and y's rows, y's
+delayed for the phase variant; ``_combine`` is the one product. ``_paired_blocks``
+turns them into (n, J) curves, each margin's rows one row block at a time: ``ecc
 simulate`` streams those blocks to its files, holding the scores plus one
 block, and ``draw_paired`` fills its two samples from them. The replications
 of ``replicate_rho`` never build curves. They keep only their norms and inner
-products, quadratic forms in the discrete Gram matrix of the basis rows (for
-the phase variant, of the rows and their delayed copies), and run in blocks:
-a block is one call of the estimators' radius stage (``_radius_rows``), which
-for mindist chooses the whole block's k at once.
+products, quadratic forms in the discrete Gram matrix of the basis rows, and
+run in blocks: a block is one call of the estimators' radius stage
+(``_radius_rows``), which for mindist chooses the whole block's k at once.
 
 Reproducibility: a DgpConfig is fully deterministic in its seed; the
 experiment spawns one child stream per replication from the master seed, and
 the blocks depend on the replication count and n only, so results are
-identical for any worker count.
+identical for any worker count. ``_combine`` adds in a fixed order without
+BLAS, so a synthetic curve's bits depend neither on the BLAS kernel nor on
+where the row blocks split (the bernoulli and concentrated bits changed once
+when it replaced their BLAS products). The Gram products of ``replicate_rho``
+do go through BLAS, so its results and experiment tables can move in the
+last bits with the BLAS kernel. The Pareto draws use float64 ``power``, whose
+bits depend on NumPy's SIMD level.
 """
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .curves import _row_blocks, grid
+from .curves import _fits, _row_blocks, grid
 from .errors import DomainError, EccError
 from .estimators import _radius_rows
 from .tail import _check_k_method
@@ -138,23 +143,24 @@ def phase_shift(s, delta: float) -> np.ndarray:
     return out
 
 
-def _basis_rows(cfg: DgpConfig) -> np.ndarray:
-    """The basis rows the scores of ``_scores`` weight: phi1, phi2 (bernoulli) or phi1..phi3."""
-    return np.stack([basis(j, cfg.J) for j in range(1, 3 if cfg.variant == "bernoulli" else 4)])
+def _basis_rows(cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The basis rows the scores of ``_scores`` weight, x's and y's: phi1, phi2 (bernoulli) or
+    phi1..phi3, y's delayed by ``phase_shift`` for the phase variant."""
+    rows = np.stack([basis(j, cfg.J) for j in range(1, 3 if cfg.variant == "bernoulli" else 4)])
+    return rows, phase_shift(rows, cfg.delta) if cfg.variant == "phase" else rows
 
 
-@contextmanager
-def _n_fits(n: int):
-    """Raise DomainError naming n where an allocation of n rows inside cannot be made."""
-    try:
-        yield
-    except MemoryError:
-        raise DomainError(f"n = {n} curves do not fit in memory") from None
+def _combine(scores: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The curves sum_j outer(scores[:, j], rows[j]), added in j order onto +0.0 without BLAS."""
+    out = np.zeros((scores.shape[0], rows.shape[1]))
+    for column, row in zip(scores.T, rows):
+        out += np.outer(column, row)
+    return out
 
 
 def _scores(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Basis scores (cx, cy) of one paired sample: x = cx @ rows and y = cy @ rows,
-    then delayed by ``phase_shift`` for the phase variant."""
+    """Basis scores (cx, cy) of one paired sample: x = _combine(cx, px) and y = _combine(cy, py),
+    (px, py) = _basis_rows(cfg)."""
     n, alpha = cfg.n, cfg.alpha
     sd = np.sqrt(cfg.noise_variance)
     if cfg.variant == "bernoulli":
@@ -181,25 +187,21 @@ def _paired_blocks(rng: np.random.Generator, cfg: DgpConfig) -> tuple[Iterator[n
     The scores are drawn here, at the call; each block is made as its iterator
     reaches it.
     """
-    with _n_fits(cfg.n):
+    with _fits(f"n = {cfg.n} curves"):
         cx, cy = _scores(rng, cfg)
-    p = _basis_rows(cfg)
+    px, py = _basis_rows(cfg)
 
-    def blocks(c: np.ndarray, delayed: bool) -> Iterator[np.ndarray]:
+    def blocks(c: np.ndarray, p: np.ndarray) -> Iterator[np.ndarray]:
         for rows in _row_blocks(cfg.n, cfg.J):
-            if cfg.variant == "bernoulli":  # a block's product is too small for BLAS to split over
-                block = c[rows] @ p  # threads, which changes the bits of the whole sample's at some J
-            else:  # sums of outer products: no (n, J) temporary, and the bits of the whole-array sum
-                block = np.outer(c[rows, 0], p[0]) + np.outer(c[rows, 1], p[1]) + np.outer(c[rows, 2], p[2])
-            yield phase_shift(block, cfg.delta) if delayed else block
+            yield _combine(c[rows], p)
 
-    return blocks(cx, False), blocks(cy, cfg.variant == "phase")
+    return blocks(cx, px), blocks(cy, py)
 
 
 def draw_paired(rng: np.random.Generator, cfg: DgpConfig) -> tuple[np.ndarray, np.ndarray]:
     """Generate one paired sample from an explicit random stream."""
     x_blocks, y_blocks = _paired_blocks(rng, cfg)
-    with _n_fits(cfg.n):
+    with _fits(f"n = {cfg.n} curves"):
         x, y = np.empty((cfg.n, cfg.J)), np.empty((cfg.n, cfg.J))
     for out, blocks in ((x, x_blocks), (y, y_blocks)):
         for rows, block in zip(_row_blocks(cfg.n, cfg.J), blocks):
@@ -225,10 +227,8 @@ def generate_shared_score(n: int, alpha: float, J: int = 100, seed: int = 0) -> 
     z1 = _pareto(rng, alpha, n)
     n1 = rng.normal(0.0, _NOISE_SD, n)
     n2 = rng.normal(0.0, _NOISE_SD, n)
-    p1, p2 = basis(1, J), basis(2, J)
-    x = np.outer(z1, p1) + np.outer(n1, p2)
-    y = np.outer(z1, p2) + np.outer(n2, p1)
-    return x, y
+    rows = np.stack([basis(1, J), basis(2, J)])
+    return _combine(np.stack([z1, n1], axis=1), rows), _combine(np.stack([z1, n2], axis=1), rows[::-1])
 
 
 def generate_concentrated(axis: int, n: int, alpha: float, J: int = 100, seed: int = 0) -> np.ndarray:
@@ -245,8 +245,7 @@ def generate_concentrated(axis: int, n: int, alpha: float, J: int = 100, seed: i
     rng = np.random.default_rng(seed)
     coef = rng.normal(0.0, _NOISE_SD, (n, 9))
     coef[:, axis - 1] = _pareto(rng, alpha, n)
-    phis = np.stack([basis(j, J) for j in range(1, 10)])
-    return coef @ phis
+    return _combine(coef, np.stack([basis(j, J) for j in range(1, 10)]))
 
 
 def oracle_rho(rho: float, alpha: float) -> float:
@@ -380,8 +379,7 @@ def replicate_rho(
     k_method, k_fixed = _check_k_method(k_method, k_fixed)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(reps)
-    px = _basis_rows(cfg)
-    py = phase_shift(px, cfg.delta) if cfg.variant == "phase" else px
+    px, py = _basis_rows(cfg)
     gxx, gyy, gxy = (a @ b.T / cfg.J for a, b in ((px, px), (py, py), (px, py)))
     block = max(1, min(_BLOCK, _BLOCK_VALUES // cfg.n))
 
@@ -404,11 +402,12 @@ def replicate_rho(
         return fit_rows(nx, ny, ips)
 
     starts = range(0, reps, block)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [r for rows in pool.map(fit_block, starts) for r in rows]
-    else:
-        results = [r for start in starts for r in fit_block(start)]
+    with _fits(f"n = {cfg.n} curves"):
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = [r for rows in pool.map(fit_block, starts) for r in rows]
+        else:
+            results = [r for start in starts for r in fit_block(start)]
 
     rho_hats = np.array([r[0] for r in results])
     ks = np.array([r[1] for r in results], dtype=float)

@@ -293,6 +293,41 @@ def test_simulate_with_n_too_large_for_memory_exits_3_naming_n(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def _no_memory_past(limit: int, real):
+    """``real``, raising MemoryError where its first argument exceeds ``limit``, as making that many values
+    would on a host without the memory, allocating nothing."""
+    def guarded(size, *args, **kwargs):
+        if np.prod(size) > limit:
+            raise MemoryError
+        return real(size, *args, **kwargs)
+
+    return guarded
+
+
+def test_resample_with_j_too_large_for_memory_exits_3_naming_j_target(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(ecc.curveio, "grid", _no_memory_past(10**6, ecc.curveio.grid))
+    monkeypatch.chdir(tmp_path)
+    write_curve_file("c.csv", np.ones((3, 4)))
+    code, out, err = run_cli(capsys, "resample", "--input", "c.csv", "--J", "100000000000", "--output", "r.csv")
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"] == "J_target = 100000000000 grid points do not fit in memory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_experiment_with_n_too_large_for_memory_exits_3_naming_n(capsys, tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(np, "empty", _no_memory_past(10**9, np.empty))
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("rho_xy = 0.5\nalpha = 3\nn = 1000000000000\nreps = 2\nseed = 1\n")
+    code, out, err = run_cli(capsys, "experiment", "--config", "run.cfg", "--threads", threads)
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"] == "n = 1000000000000 curves do not fit in memory"
+
+
 def test_transform_stdout(capsys, tmp_path):
     p = tmp_path / "c.csv"
     sample = np.array([[3.0, 4.0], [0.3, 0.4]])

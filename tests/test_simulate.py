@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +156,8 @@ PINNED_DRAWS = [
      "27b5261f5e948383a36f4eb7f25a8238815a133503f2e2475736be14a6a680b2",
      "aa7c6cef934066309fbd9df7676d704ae48114d399ad0b285ec8d80a1235b3d9"),
     (DgpConfig(rho=0.0, alpha=3.0, n=40, J=30, seed=12, variant="bernoulli", p_a=0.5, p_b=0.5),
-     "8e3a25af686ab8d4fc16994152ca5e70a8335169fa8e7a08e43079a8347f4404",
-     "f05bb600606f64a075730f80f9f08c8d17e24889e52ba07ac34e8ccdf8586174"),
+     "7a842c0695940912a410566897fb54636fb8e9abd0809bacdfb6d062f37b2d79",
+     "ba0241ebd828e6ff3c23992004545f278226d755fbea815233242cedc3665c9b"),
     (DgpConfig(rho=0.6, alpha=3.0, n=40, J=30, seed=13, variant="phase", delta=0.3),
      "01e39c0469360c498a01996304ba64426cc7d55072a48851db4364f14c8abe5c",
      "8ef77c412610da545acfccda7b7b9dec79bd88cacde1bc4a5567f36e48f06e05"),
@@ -164,6 +169,35 @@ def test_generate_paired_bits_are_pinned(cfg, sha_x, sha_y):
     x, y = generate_paired(cfg)
     assert hashlib.sha256(x.tobytes()).hexdigest() == sha_x
     assert hashlib.sha256(y.tobytes()).hexdigest() == sha_y
+
+
+@pytest.mark.parametrize("variant", ["base", "bernoulli", "phase"])
+def test_a_curves_bits_do_not_depend_on_where_the_row_blocks_split(monkeypatch, variant):
+    cfg = DgpConfig(rho=0.5, alpha=3.0, n=164, J=100, seed=0, variant=variant)
+    assert simulate._row_blocks(164, 100)[-1].start == 163  # the last row makes a block alone
+    x, y = generate_paired(cfg)
+    monkeypatch.setattr(simulate, "_row_blocks", lambda n, J: [slice(0, 162), slice(162, 164)])
+    x2, y2 = generate_paired(cfg)  # row 163 inside a two-row block
+    assert np.array_equal(x, x2) and np.array_equal(y, y2)
+
+
+def _sample_hashes() -> dict[str, list[str]]:
+    """The sha256 of every sample each generator makes at one small configuration."""
+    samples = {v: generate_paired(DgpConfig(rho=0.5, alpha=3.0, n=164, J=100, seed=1, variant=v))
+               for v in simulate.VARIANTS}
+    samples["concentrated"] = (generate_concentrated(3, 164, 3.0, J=100, seed=1),)
+    samples["shared_score"] = generate_shared_score(164, 3.0, J=100, seed=1)
+    return {name: [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] for name, arrays in samples.items()}
+
+
+def test_generated_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS's Sandybridge kernel has no FMA, so any BLAS product in a generator would change bits
+    tests = Path(__file__).parent
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": os.pathsep.join([str(Path(simulate.__file__).parents[1]), str(tests)])}
+    probe = "import json, test_simulate; print(json.dumps(test_simulate._sample_hashes()))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert json.loads(result.stdout) == _sample_hashes()
 
 
 def test_generate_paired_with_n_too_large_for_memory_names_n(monkeypatch):
