@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import stat
@@ -39,10 +40,9 @@ QGRID_MAX_POINTS = 10_000  # the most points a --qgrid may span, counted before 
 CONFIG_KEYS = ("rho_xy", "alpha", "n", "reps", "seed", "k_method", "k", "j", "noise_variance")
 
 
-def _write(fh, output) -> None:
-    """Write a text, or a sample (an array or an iterator of row blocks) as a curve file a block of
-    rows at a time, to an open text file."""
-    fh.writelines([output] if isinstance(output, str) else _csv_blocks(output))
+def _write(fh, text) -> None:
+    """Write a str, or an iterable of str one piece at a time, to an open text file."""
+    fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _is_stdout(path) -> bool:
@@ -71,9 +71,11 @@ def _staging_target(path: str) -> str | None:
 
 
 def _emit(*outputs) -> None:
-    """Write (output, path) pairs: a text, or a sample as a curve file, to ``path`` (None or "-": stdout).
+    """Write (text, path) pairs to ``path`` (None or "-": stdout).
 
-    A sample given as an iterator of row blocks is made as it is written.
+    A text is a str or an iterable of str, such as the ``_csv_blocks`` of a
+    sample or the chunks of a JSON encoder, which is made as it is written,
+    so no output need be held whole.
 
     Each file that ``_staging_target`` stages is written to a temporary beside
     it, with the mode of the file it replaces, and the temporaries are moved
@@ -199,7 +201,8 @@ def _cmd_pairwise(args) -> int:
                 for (a, b), rep in sorted(reports.items())
             ],
         }
-        outputs.append((json.dumps(meta, indent=2) + "\n", args.json))
+        # streamed: the text json.dumps(meta, indent=2) would return is never held whole
+        outputs.append((itertools.chain(json.JSONEncoder(indent=2).iterencode(meta), "\n"), args.json))
     _emit(*outputs)
     return 0
 
@@ -227,10 +230,10 @@ def _parse_qgrid(arg: str) -> np.ndarray:
 
 
 def _cmd_chi(args) -> int:
-    x = parse_curve_file(args.x)
-    y = parse_curve_file(args.y)
-    center = not args.no_center
-    series = chi_curve(_margin_norms(x, "x", center)[1], _margin_norms(y, "y", center)[1], _parse_qgrid(args.qgrid))
+    # one margin at a time: each sample is dropped once its norms are taken
+    nx, ny = (_margin_norms(parse_curve_file(path), name, not args.no_center)[1]
+              for path, name in ((args.x, "x"), (args.y, "y")))
+    series = chi_curve(nx, ny, _parse_qgrid(args.qgrid))
     names = ("q", "chi", "chibar", "chi_lo", "chi_hi", "chibar_lo", "chibar_hi", "raw_chibar")
     _emit((_columns_csv(",".join(names), *(getattr(series, c) for c in names)), args.output))
     return 0
@@ -261,7 +264,7 @@ def _cmd_simulate(args) -> int:
         rho = invert_oracle(args.rho_xy, args.alpha)
     cfg = DgpConfig(rho=rho, alpha=args.alpha, n=args.n, J=args.J, seed=args.seed, **extra)
     x, y = _paired_blocks(np.random.default_rng(cfg.seed), cfg)  # lazy: each file is written as it is made
-    _emit((x, args.out_x), (y, args.out_y))
+    _emit((_csv_blocks(x), args.out_x), (_csv_blocks(y), args.out_y))
     return 0
 
 
@@ -343,13 +346,13 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_transform(args) -> int:
     sample = parse_curve_file(args.input)
-    _emit((power_transform(sample, args.alpha_source, args.alpha_target), args.output))
+    _emit((_csv_blocks(power_transform(sample, args.alpha_source, args.alpha_target)), args.output))
     return 0
 
 
 def _cmd_resample(args) -> int:
     sample = parse_curve_file(args.input)
-    _emit((resample_linear(sample, args.J), args.output))
+    _emit((_csv_blocks(resample_linear(sample, args.J)), args.output))
     return 0
 
 

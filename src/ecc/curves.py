@@ -11,6 +11,10 @@ The estimators' curve arithmetic is all here: ``_margin_rows`` forms their rows
 ``(x - mean) * factor`` a block at a time, the row kernels ``_norms`` and
 ``_inner_products`` (``norm`` and ``inner_product`` are one-row views) reduce
 them, and an overflow in any of them raises DomainError (``_overflow_raises``).
+The blocked readers ``_centered_norms`` (every row of one margin) and
+``_margin_inner_products`` (the exceedance rows ``idx`` of two margins) hold
+one ``_row_blocks`` block of rows at a time, never a centered or transformed
+copy of a sample, and give the bits of the whole-array expression.
 
 All functions are pure and never mutate their inputs.
 """
@@ -141,6 +145,20 @@ def _centered_norms(arr: np.ndarray, mean: np.ndarray | None, factors: np.ndarra
     out = np.empty(arr.shape[0])
     for rows in _row_blocks(*arr.shape):
         out[rows] = _norms(_margin_rows(arr, mean, factors, rows))
+    return out
+
+
+def _margin_inner_products(x, y, idx) -> np.ndarray:
+    """``_inner_products`` of the ``_margin_rows`` ``idx`` of two margins, each an ``(arr, mean, factors)``.
+
+    Rows are formed a ``_row_blocks`` block of ``idx`` at a time, so the
+    result has the whole-array expression's bits (a row's sum does not depend
+    on its block) and holds no copy of the exceedance rows.
+    """
+    idx = np.asarray(idx)
+    out = np.empty(idx.size)
+    for rows in _row_blocks(idx.size, x[0].shape[1]):
+        out[rows] = _inner_products(_margin_rows(*x, idx[rows]), _margin_rows(*y, idx[rows]))
     return out
 
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-from .curves import _centered_norms, _inner_products, _margin_rows, _mean_curve, _norms, as_sample, check_paired
+from .curves import _centered_norms, _margin_inner_products, _mean_curve, as_sample, check_paired
 from .errors import DegenerateSampleError, DegenerateTailError, DomainError, EccError, GridMismatchError
 from .tail import (HillSeries, TailFit, _check_k_method, _finite_vector, _hill_series, _index, _k_rule, _select_k,
                    _sorted_desc)
@@ -79,9 +79,10 @@ def order_statistic(values, k: int) -> float:
 def _paired(x, y, k):
     """Validate a pair, then k, once; return what ``_exceedances`` reads of them, r_k by ``order_statistic``."""
     xs, ys = check_paired(x, y)
-    nx, ny = _norms(xs), _norms(ys)
+    nx, ny = _centered_norms(xs, None), _centered_norms(ys, None)
     radii, k = np.maximum(nx, ny), _index(k, "k")
-    return nx, ny, radii, lambda idx: _inner_products(xs[idx], ys[idx]), k, order_statistic(radii, k)
+    inner_products = partial(_margin_inner_products, (xs, None, None), (ys, None, None))
+    return nx, ny, radii, inner_products, k, order_statistic(radii, k)
 
 
 def _over_root(num: float, a: float, b: float) -> float:
@@ -209,8 +210,8 @@ def _pipelines(
             )
 
     # a margin is its parsed sample and mean curve: no centered or transformed copy, nor
-    # its sorted norms, is kept (peak memory); the norms read row blocks and the
-    # exceedance pass its own rows
+    # its sorted norms, is kept (peak memory); the norms and the exceedance pass read
+    # row blocks
     def marginal_stage(arr, name):
         mean, nrm = _margin_norms(arr, name, do_center)
         with _naming(name):
@@ -237,10 +238,8 @@ def _pipelines(
         sx = sy = None
         if transformed:
             (sx, nx), (sy, ny) = transformed_norms(a), transformed_norms(b)
-
-        def inner_products(idx):  # of the transformed rows when the transform fired
-            return _inner_products(_margin_rows(xs, mean_x, sx, idx), _margin_rows(ys, mean_y, sy, idx))
-
+        # of the transformed rows when the transform fired
+        inner_products = partial(_margin_inner_products, (xs, mean_x, sx), (ys, mean_y, sy))
         with _naming(f"{name_x} and {name_y}"):
             (report,) = _radius_rows(nx[None], ny[None], [inner_products], k_method, k)
             if isinstance(report, EccError):

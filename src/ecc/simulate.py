@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -378,17 +377,20 @@ def replicate_rho(
     _check_run(seed, threads)
     k_method, k_fixed = _check_k_method(k_method, k_fixed)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(reps)
+    with _fits(f"reps = {reps} replications"):  # the result arrays first: spawning the streams is slow
+        rho_hats, ks = np.empty(reps), np.empty(reps)
+        streams = root.spawn(reps)
     px, py = _basis_rows(cfg)
     gxx, gyy, gxy = (a @ b.T / cfg.J for a, b in ((px, px), (py, py), (px, py)))
     block = max(1, min(_BLOCK, _BLOCK_VALUES // cfg.n))
 
-    def fit_rows(nx, ny, ips) -> list[tuple[float, int]]:
-        """(rho_hat, k) of each replication, (nan, 0) for one with degenerate data."""
+    def fit_rows(start, nx, ny, ips) -> None:
+        """Store (rho_hat, k) of replications start, start + 1, ...: (nan, 0) for one with degenerate data."""
         reports = _radius_rows(nx, ny, [row.__getitem__ for row in ips], k_method, k_fixed)
-        return [(np.nan, 0) if isinstance(r, EccError) else (r.rho_xy, r.k) for r in reports]
+        for i, r in enumerate(reports, start):
+            rho_hats[i], ks[i] = (np.nan, 0) if isinstance(r, EccError) else (r.rho_xy, r.k)
 
-    def fit_block(start: int) -> list[tuple[float, int]]:
+    def fit_block(start: int) -> None:
         nx, ny, ips = (np.empty((min(block, reps - start), cfg.n)) for _ in range(3))
         for b, stream in enumerate(streams[start : start + block]):
             cx, cy = _scores(np.random.default_rng(stream), cfg)
@@ -396,21 +398,24 @@ def replicate_rho(
                 nx[b], ny[b] = _gram_norms(cx, gxx), _gram_norms(cy, gyy)
             except DomainError:
                 if b:  # an earlier replication's domain error comes first
-                    fit_rows(nx[:b], ny[:b], ips[:b])
+                    fit_rows(start, nx[:b], ny[:b], ips[:b])
                 raise
             ips[b] = np.einsum("ij,ij->i", cx @ gxy, cy)
-        return fit_rows(nx, ny, ips)
+        fit_rows(start, nx, ny, ips)
 
     starts = range(0, reps, block)
     with _fits(f"n = {cfg.n} curves"):
         if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = [r for rows in pool.map(fit_block, starts) for r in rows]
-        else:
-            results = [r for start in starts for r in fit_block(start)]
+            # imported here, not at the top: concurrent.futures loads logging, about 0.6 MB of peak RSS
+            # that no other command needs
+            from concurrent.futures import ThreadPoolExecutor
 
-    rho_hats = np.array([r[0] for r in results])
-    ks = np.array([r[1] for r in results], dtype=float)
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(fit_block, starts))  # raises the first failing block's error
+        else:
+            for start in starts:
+                fit_block(start)
+
     good = ~np.isnan(rho_hats)
     return rho_hats[good], ks[good], int(np.sum(~good))
 

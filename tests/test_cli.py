@@ -127,6 +127,28 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool():
+    # only an experiment with more than one worker uses concurrent.futures, which also loads logging
+    probe = ("import sys, ecc.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ecc.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+def test_chi_takes_x_norms_before_it_reads_y(capsys, tmp_path, monkeypatch):
+    # chi holds one margin at a time, so a domain error in x comes before a parse error in y
+    monkeypatch.chdir(tmp_path)
+    write_curve_file("big.csv", np.full((120, 40), 1e307))  # its column sums overflow
+    Path("bad.csv").write_text("1,2\n3\n")
+    code, _, err = run_cli(capsys, "chi", "--x", "big.csv", "--y", "bad.csv")
+    assert code == 3
+    assert _error(err)["message"] == "x: the mean curve overflows"
+    code, _, err = run_cli(capsys, "chi", "--x", "bad.csv", "--y", "big.csv")
+    assert code == 2
+    assert _error(err)["type"] == "ParseError"
+
+
 def test_pairwise_matrix_csv(capsys, tmp_path, sample_files):
     xp, yp = sample_files
     meta_path = tmp_path / "meta.json"
@@ -326,6 +348,19 @@ def test_experiment_with_n_too_large_for_memory_exits_3_naming_n(capsys, tmp_pat
     assert out == ""
     assert _error(err)["type"] == "DomainError"
     assert _error(err)["message"] == "n = 1000000000000 curves do not fit in memory"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_experiment_with_reps_too_large_for_memory_exits_3_naming_reps(capsys, tmp_path, monkeypatch, threads):
+    # the check comes before one stream per replication is spawned, which would grind for tens of seconds
+    monkeypatch.setattr(np, "empty", _no_memory_past(10**9, np.empty))
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("rho_xy = 0.5\nalpha = 3\nn = 300\nj = 20\nreps = 1000000000000\nseed = 1\n")
+    code, out, err = run_cli(capsys, "experiment", "--config", "run.cfg", "--threads", threads)
+    assert code == 3
+    assert out == ""
+    assert _error(err)["type"] == "DomainError"
+    assert _error(err)["message"] == "reps = 1000000000000 replications do not fit in memory"
 
 
 def test_transform_stdout(capsys, tmp_path):
@@ -704,7 +739,7 @@ def test_an_error_while_streaming_an_output_leaves_no_file(capsys, tmp_path, mon
     code, _, err = run_cli(capsys, *argv, "--out-x", "x.csv", "--out-y", "y.csv")
     assert code == 1
     assert _error(err)["type"] == "MemoryError"
-    assert len(calls) == output
+    assert len(calls) == 2  # both outputs' block writers are made before either is written
     assert len(seen) == output and all(name.endswith(".tmp") for name in seen)  # it failed mid-stream
     assert list(tmp_path.iterdir()) == []
 
@@ -713,7 +748,7 @@ def test_streamed_samples_with_an_unwritable_output_leave_no_file(tmp_path, monk
     monkeypatch.chdir(tmp_path)
     x, y = _paired_blocks(np.random.default_rng(2), DgpConfig(rho=0.5, alpha=3.0, n=400, J=50, seed=2))
     with pytest.raises(ParseError, match="^missing/y.csv: cannot write"):
-        _emit((x, "x.csv"), (y, "missing/y.csv"))
+        _emit((_csv_blocks(x), "x.csv"), (_csv_blocks(y), "missing/y.csv"))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -726,7 +761,7 @@ def test_a_block_iterator_that_raises_after_its_first_block_leaves_no_file(tmp_p
         yield np.full((1, x.shape[1]), np.nan)  # as_sample rejects it before its text is made
 
     with pytest.raises(DomainError, match="finite"):
-        _emit((y, "y.csv"), (blocks(), "x.csv"))
+        _emit((_csv_blocks(y), "y.csv"), (_csv_blocks(blocks()), "x.csv"))
     assert list(tmp_path.iterdir()) == []
 
 

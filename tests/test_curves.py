@@ -13,7 +13,7 @@ from ecc import (
     norms,
     pair_radii,
 )
-from ecc.curves import _BLOCK_VALUES, _centered_norms, _norms, _row_blocks
+from ecc.curves import _BLOCK_VALUES, _centered_norms, _margin_inner_products, _norms, _row_blocks
 from ecc.errors import DomainError
 from ecc.simulate import basis
 
@@ -214,6 +214,31 @@ def test_blocked_norms_equal_the_whole_array_expressions_bit_for_bit(n, J, seed)
             == _norms(centered * factors[:, None]).tobytes())
 
 
+_STEP = _row_blocks(_BLOCK_VALUES, 100)[0].stop  # rows in a block at J = 100
+
+
+@pytest.mark.parametrize("m", [1, _STEP - 1, _STEP, _STEP + 1, 3 * _STEP + 7])
+def test_blocked_inner_products_equal_the_whole_array_expression_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    n, J = 500, 100
+    x, y = (rng.standard_normal((n, J)) * 10.0 ** rng.uniform(-5, 5, size=(n, 1)) + rng.standard_normal(J)
+            for _ in range(2))
+    idx = rng.integers(0, n, m)
+    assert m == 1 or (np.any(np.diff(idx) < 0) and np.unique(idx).size < m)  # unsorted, with repeats
+    fx, fy = (np.where(rng.random(n) < 0.1, 0.0, rng.pareto(1.5, n)) for _ in range(2))
+    mx, my = x.mean(axis=0), y.mean(axis=0)
+
+    def rows(arr, mean, factors):
+        out = arr[idx] if mean is None else arr[idx] - mean
+        return out if factors is None else out * factors[idx, None]
+
+    for mean_x, mean_y in ((None, None), (mx, my)):
+        for sx, sy in ((None, None), (fx, fy), (fx, None)):
+            expected = np.sum(rows(x, mean_x, sx) * rows(y, mean_y, sy), axis=1) / J
+            got = _margin_inner_products((x, mean_x, sx), (y, mean_y, sy), idx)
+            assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("big_row", [0, -1])
 def test_blocked_norms_raise_on_overflow_in_any_block_without_warning(big_row):
     arr = np.ones((3 * _BLOCK_VALUES // 10, 10))
@@ -229,3 +254,5 @@ def test_blocked_norms_raise_on_overflow_in_any_block_without_warning(big_row):
             _centered_norms(arr, arr.mean(axis=0))
         with pytest.raises(DomainError, match="^transformed curves overflow$"):
             _centered_norms(arr, None, factors)
+        with pytest.raises(DomainError, match="^curve inner products overflow$"):
+            _margin_inner_products((arr, None, None), (arr, None, None), np.arange(arr.shape[0]))

@@ -3,7 +3,7 @@
 One input is an n = 1e4, J = 100 sample (8 MB of float64). Each path holds
 its parsed or generated arrays plus O(row block) memory: no whole-file text,
 list of parsed rows, formatted copy, outer-product temporary, or centered or
-transformed copy of a sample.
+transformed copy of a sample, nor of its exceedance rows.
 """
 from contextlib import contextmanager
 import tracemalloc
@@ -11,10 +11,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecc import DgpConfig, estimate_pipeline, generate_paired, parse_curve_file, write_curve_file
+from ecc import DgpConfig, estimate_pipeline, generate_paired, pairwise_matrix, parse_curve_file, write_curve_file
 from ecc import select_k_mindist
 from ecc.cli import _emit, main
-from ecc.curveio import format_curves
+from ecc.curveio import _csv_blocks, format_curves
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ def test_select_k_mindist_holds_almost_nothing_once_it_returns():
 def test_emitting_a_pair_peaks_below_one_input_above_the_arrays(tmp_path, monkeypatch, pair):
     monkeypatch.chdir(tmp_path)
     with traced_peak() as peak:
-        _emit((pair[0], "x.csv"), (pair[1], "y.csv"))
+        _emit((_csv_blocks(pair[0]), "x.csv"), (_csv_blocks(pair[1]), "y.csv"))
     with open("y.csv") as fh:
         assert fh.readline() == format_curves(pair[1][:1])
     assert peak[0] < pair[0].nbytes
@@ -103,3 +103,36 @@ def test_pipeline_with_the_transform_peaks_below_one_input_above_its_inputs(pair
         report = estimate_pipeline(x, y)
     assert report.transformed
     assert peak[0] < x.nbytes
+
+
+@pytest.mark.parametrize("transformed", [False, True])
+def test_ks_pipeline_peaks_below_4_mb_above_its_inputs(pair, transformed):
+    # KS keeps about half the rows as exceedances: a copy of them would be 4 MB a margin
+    x, y = pair
+    if transformed:
+        y = np.sign(y) * np.abs(y) ** 2  # halves the tail index of y's norms
+    with traced_peak() as peak:
+        report = estimate_pipeline(x, y, k_method="ks")
+    assert report.transformed == transformed
+    assert peak[0] < 4_000_000
+
+
+def test_ks_pairwise_matrix_on_three_samples_peaks_below_5_mb_above_its_inputs(pair):
+    x, y = pair
+    samples = [x, y, np.sign(y) * np.abs(y) ** 2]
+    with traced_peak() as peak:
+        _, reports = pairwise_matrix(samples, k_method="ks", return_reports=True)
+    assert reports[(0, 2)].transformed
+    assert peak[0] < 5_000_000
+
+
+def test_chi_holds_one_input(tmp_path, monkeypatch, pair):
+    monkeypatch.chdir(tmp_path)
+    for name, sample in zip("xy", pair):
+        write_curve_file(f"{name}.csv", sample)
+        write_curve_file(f"small_{name}.csv", sample[:50])
+    argv = ["chi", "--output", "chi.csv"]
+    assert main(argv + ["--x", "small_x.csv", "--y", "small_y.csv"]) == 0  # a first call loads modules
+    with traced_peak() as peak:
+        assert main(argv + ["--x", "x.csv", "--y", "y.csv"]) == 0
+    assert peak[0] < 1.25 * pair[0].nbytes  # parsing one input peaks at 1.1 of it
